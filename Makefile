@@ -8,7 +8,7 @@ SMOKE_BENCHTIME ?= 2000x
 SCALE_BENCH ?= ^(BenchmarkWALCheckpoint|BenchmarkWALRecover|BenchmarkStoreResident)$$
 BENCH_JSON ?= BENCH_PR10.json
 
-.PHONY: build test test-race bench bench-json chaos chaos-long obs-smoke cluster-demo scale-smoke lint clean
+.PHONY: build test test-race bench bench-json bench-e2e chaos chaos-long obs-smoke cluster-demo scale-smoke lint clean
 
 build:
 	$(GO) build ./...
@@ -39,6 +39,13 @@ bench-json:
 	( $(GO) test -run xxx -bench '$(SMOKE_BENCH)' -benchtime=$(SMOKE_BENCHTIME) . && \
 	  $(GO) test -run xxx -bench '$(SCALE_BENCH)' -benchtime=1x . ) \
 	  | tee bench.out | $(GO) run ./cmd/benchjson -o $(BENCH_JSON)
+
+# Every workload of the repo's benchmark (BENCHMARK.json) for one
+# measured second: the exit code is the correctness of every answer and
+# read-back, not a timing (CI's benchmark-smoke job). Build output stays
+# under .bench_build/.
+bench-e2e:
+	bash benchmark/run.sh --workload all --seed 1 --seconds 1 --trace 0
 
 # Boot udrd -admin and verify the /healthz + /metrics scrape contract
 # (the acceptance metric families). CI runs this as the obs-smoke job.

@@ -241,7 +241,9 @@ type ReplicaRef struct {
 }
 
 // Partition is one entry of the partition table. Replicas[0] is the
-// current master.
+// current master. Replicas is copy-on-write: the table replaces the
+// slice on every placement change and never writes through it, so
+// copies of a Partition share it and must treat it as read-only.
 type Partition struct {
 	ID       string
 	HomeSite string
@@ -605,9 +607,7 @@ func (u *UDR) Partition(id string) (Partition, bool) {
 	if !ok {
 		return Partition{}, false
 	}
-	cp := *p
-	cp.Replicas = append([]ReplicaRef(nil), p.Replicas...)
-	return cp, true
+	return *p, true
 }
 
 // Element returns a hosted storage element by ID.
@@ -774,7 +774,9 @@ func (u *UDR) Failover(partID string) (ReplicaRef, error) {
 	// moved, so the placement epoch advances and every replica
 	// learns it — requests routed under the old placement now get
 	// the retryable referral.
-	part.Replicas[0], part.Replicas[best] = part.Replicas[best], part.Replicas[0]
+	replicas := append([]ReplicaRef(nil), part.Replicas...)
+	replicas[0], replicas[best] = replicas[best], replicas[0]
+	part.Replicas = replicas
 	part.Epoch++
 	u.pushEpochLocked(part)
 	return part.Replicas[0], nil

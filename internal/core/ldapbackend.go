@@ -259,16 +259,7 @@ func (b *LDAPBackend) Bind(dn, password string) ldap.Result {
 func identityFromFilter(f ldap.Filter) (subscriber.Identity, bool) {
 	switch f.Kind {
 	case ldap.FilterEquality:
-		switch f.Attr {
-		case subscriber.AttrIMSI:
-			return subscriber.Identity{Type: subscriber.IMSI, Value: f.Value}, true
-		case subscriber.AttrMSISDN:
-			return subscriber.Identity{Type: subscriber.MSISDN, Value: f.Value}, true
-		case subscriber.AttrIMPI:
-			return subscriber.Identity{Type: subscriber.IMPI, Value: f.Value}, true
-		case subscriber.AttrIMPU:
-			return subscriber.Identity{Type: subscriber.IMPU, Value: f.Value}, true
-		}
+		return subscriber.IdentityForAttr(f.Attr, f.Value)
 	case ldap.FilterAnd:
 		for _, c := range f.Children {
 			if id, ok := identityFromFilter(c); ok {

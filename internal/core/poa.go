@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -108,10 +107,10 @@ type AccessPoint struct {
 	site string
 	addr simnet.Addr
 
-	mu sync.Mutex
 	// tokens models finite LDAP processing capacity: one token per
-	// LDAP server process; each op holds a token for serviceTime.
-	tokens      chan struct{}
+	// LDAP server process; each op holds a token for serviceTime. Nil
+	// when no capacity model is configured.
+	tokens      atomic.Pointer[chan struct{}]
 	serviceTime time.Duration
 
 	// cache is the site's FE subscriber read cache (nil unless
@@ -136,12 +135,7 @@ func newAccessPoint(u *UDR, site string, ldapServers int) *AccessPoint {
 		addr:        simnet.MakeAddr(site, "poa"),
 		serviceTime: u.cfg.LDAPServiceTime,
 	}
-	if ldapServers > 0 && ap.serviceTime > 0 {
-		ap.tokens = make(chan struct{}, ldapServers)
-		for i := 0; i < ldapServers; i++ {
-			ap.tokens <- struct{}{}
-		}
-	}
+	ap.SetLDAPServers(ldapServers)
 	return ap
 }
 
@@ -154,28 +148,28 @@ func (ap *AccessPoint) Cache() *fecache.Cache { return ap.cache }
 // SetLDAPServers resizes the modelled LDAP server pool (scale-up,
 // §3.4.1: the balancer detects new servers automatically).
 func (ap *AccessPoint) SetLDAPServers(n int) {
-	ap.mu.Lock()
-	defer ap.mu.Unlock()
 	if n <= 0 || ap.serviceTime == 0 {
-		ap.tokens = nil
+		ap.tokens.Store(nil)
 		return
 	}
 	t := make(chan struct{}, n)
 	for i := 0; i < n; i++ {
 		t <- struct{}{}
 	}
-	ap.tokens = t
+	ap.tokens.Store(&t)
 }
+
+// noRelease is acquire's release when no capacity model is configured.
+var noRelease = func() {}
 
 // acquire blocks until an LDAP server slot is free, then simulates
 // the per-op service time.
 func (ap *AccessPoint) acquire(ctx context.Context) (release func(), err error) {
-	ap.mu.Lock()
-	tokens := ap.tokens
-	ap.mu.Unlock()
-	if tokens == nil {
-		return func() {}, nil
+	p := ap.tokens.Load()
+	if p == nil {
+		return noRelease, nil
 	}
+	tokens := *p
 	select {
 	case <-tokens:
 	case <-ctx.Done():
@@ -303,20 +297,25 @@ func (ap *AccessPoint) execInner(ctx context.Context, req ExecReq) (ExecResp, er
 		}
 	}
 
-	if cacheable && !req.cacheChecked {
-		// The identity had no cache alias before locate resolved it;
-		// probe once more by primary key before going remote.
-		v, st := ap.cacheProbe(req.Trace, subID)
-		if st == fecache.Hit {
-			return cachedResp(ap.addr, subID, v), nil
-		}
-		req.cacheChecked = true
-	}
 	// An epoch-guarded key (resident entry whose floor predates the
 	// current placement epoch) must read master-direct: CSNs are not
 	// comparable across a master change, so neither a slave response
 	// nor a re-fill can be validated against the old floor.
-	guarded := cacheable && ap.cache.Peek(subID) == fecache.Guarded
+	guarded := false
+	if cacheable && req.cacheChecked {
+		guarded = ap.cache.Peek(subID) == fecache.Guarded
+	} else if cacheable {
+		// The identity had no cache alias before locate resolved it;
+		// probe once more by primary key before going remote. A hit
+		// teaches the cache the alias, so the next session-side probe
+		// resolves it without reaching the PoA.
+		v, st := ap.cacheProbe(req.Trace, subID)
+		if st == fecache.Hit {
+			ap.cache.Learn(subID, req.Identity)
+			return cachedResp(ap.addr, subID, v), nil
+		}
+		guarded = st == fecache.Guarded
+	}
 
 	// Placement-refresh loop: a request that races a migration
 	// cutover or failover gets a stale-placement referral from the
@@ -337,7 +336,8 @@ func (ap *AccessPoint) execInner(ctx context.Context, req ExecReq) (ExecResp, er
 			}
 			return ExecResp{}, fmt.Errorf("core: unknown partition %q", partID)
 		}
-		targets := ap.orderTargets(part, req, guarded)
+		var buf [maxInlineTargets]ReplicaRef
+		targets := ap.orderTargets(buf[:0], part, req, guarded)
 		txn := se.TxnReq{Partition: partID, Iso: store.ReadCommitted,
 			Ops: req.Ops, Tag: req.Tag, Epoch: part.Epoch,
 			ReturnPostImage: ap.cache != nil && !req.ReadOnly,
@@ -372,10 +372,10 @@ func (ap *AccessPoint) execInner(ctx context.Context, req ExecReq) (ExecResp, er
 					}
 				}
 				ap.cache.Fill(partID, part.Epoch, ref.Element, fromMaster,
-					subID, r0.Entry, r0.Meta, r0.Found)
+					subID, req.Identity, r0.Entry, r0.Meta, r0.Found)
 			}
 			if ap.cache != nil && !req.ReadOnly {
-				ap.writeThrough(partID, part.Epoch, req.Ops, resp)
+				ap.writeThrough(partID, part.Epoch, subID, req.Identity, req.Ops, resp)
 			}
 			return ExecResp{
 				Results:      resp.Results,
@@ -400,32 +400,33 @@ func (ap *AccessPoint) execInner(ctx context.Context, req ExecReq) (ExecResp, er
 	return ExecResp{}, fmt.Errorf("%w: %v", ErrMasterUnreachable, lastErr)
 }
 
-// orderTargets returns the replicas to try, in order.
-func (ap *AccessPoint) orderTargets(part Partition, req ExecReq, guarded bool) []ReplicaRef {
-	master := part.Replicas[0]
-	slaveReadsOK := req.ReadOnly && req.Policy == PolicyFE && ap.u.cfg.FESlaveReads
+// maxInlineTargets sizes the stack buffer exec orders a request's
+// targets into; a partition with more replicas spills to the heap.
+const maxInlineTargets = 8
 
-	if ap.u.cfg.MultiMaster && !req.ReadOnly {
+// orderTargets appends to buf the replicas to try, in order.
+func (ap *AccessPoint) orderTargets(buf []ReplicaRef, part Partition, req ExecReq, guarded bool) []ReplicaRef {
+	master := part.Replicas[0]
+	switch {
+	case ap.u.cfg.MultiMaster && !req.ReadOnly:
 		// Multi-master: prefer the co-located replica for writes,
 		// then the rest (availability over consistency, §5).
-		return ap.nearestFirst(part.Replicas)
-	}
-	if guarded {
+		return ap.nearestFirst(buf, part.Replicas)
+	case guarded:
 		// Cross-epoch guard: master only, no fallbacks — a stale
 		// slave could silently regress below the old-lineage floor.
-		return []ReplicaRef{master}
-	}
-	if slaveReadsOK {
+		return append(buf, master)
+	case req.ReadOnly && req.Policy == PolicyFE && ap.u.cfg.FESlaveReads:
 		if ap.cacheableRead(req) {
-			return ap.cacheTargets(part)
+			return ap.cacheTargets(buf, part)
 		}
 		// Nearest replica first (a co-located slave turns a
 		// backbone round trip into a LAN one, §3.3.2), then the
 		// remaining replicas as fallbacks.
-		return ap.nearestFirst(part.Replicas)
+		return ap.nearestFirst(buf, part.Replicas)
 	}
 	// Master only: writes (§3.2) and every PS operation (§3.3.3).
-	return []ReplicaRef{master}
+	return append(buf, master)
 }
 
 // cacheTargets orders replicas for a cacheable read miss: co-located
@@ -435,37 +436,24 @@ func (ap *AccessPoint) orderTargets(part Partition, req ExecReq, guarded bool) [
 // local replica is safe (cold cache after an epoch bump); then the
 // remaining replicas as reachability fallbacks, whose responses the
 // caller still validates against the key's staleness floor.
-func (ap *AccessPoint) cacheTargets(part Partition) []ReplicaRef {
+func (ap *AccessPoint) cacheTargets(out []ReplicaRef, part Partition) []ReplicaRef {
 	master := part.Replicas[0]
-	var pref []ReplicaRef
 	for _, r := range part.Replicas {
-		if r.Site != ap.site {
-			continue
-		}
-		if r.Element == master.Element || ap.cache.Warm(part.ID, r.Element) {
-			pref = append(pref, r)
-		}
-	}
-	if len(pref) == 0 {
-		pref = append(pref, master)
-	} else if len(pref) > 1 && ap.u.cfg.FECacheSlaveLB {
-		off := int(ap.lbSeq.Add(1)) % len(pref)
-		rot := make([]ReplicaRef, 0, len(pref))
-		rot = append(rot, pref[off:]...)
-		pref = append(rot, pref[:off]...)
-	}
-	out := pref
-	seen := make(map[string]bool, len(part.Replicas))
-	for _, r := range pref {
-		seen[r.Element] = true
-	}
-	for _, r := range ap.nearestFirst(part.Replicas) {
-		if !seen[r.Element] {
-			seen[r.Element] = true
+		if r.Site == ap.site &&
+			(r.Element == master.Element || ap.cache.Warm(part.ID, r.Element)) {
 			out = append(out, r)
 		}
 	}
-	return out
+	if n := len(out); n == 0 {
+		out = append(out, master)
+	} else if n > 1 && ap.u.cfg.FECacheSlaveLB {
+		for off := int(ap.lbSeq.Add(1) % uint64(n)); off > 0; off-- {
+			first := out[0]
+			copy(out, out[1:])
+			out[n-1] = first
+		}
+	}
+	return ap.nearestFirst(out, part.Replicas)
 }
 
 // cacheProbe is Lookup plus an optional cache.probe span when the
@@ -498,7 +486,8 @@ func (ap *AccessPoint) cacheableRead(req ExecReq) bool {
 // writeThrough pushes this PoA's committed post-images into the cache
 // so the next read of the written subscriber — any local client's —
 // is served fresh without a round trip.
-func (ap *AccessPoint) writeThrough(part string, epoch uint64, ops []se.TxnOp, resp se.TxnResp) {
+func (ap *AccessPoint) writeThrough(part string, epoch uint64, subID string,
+	via subscriber.Identity, ops []se.TxnOp, resp se.TxnResp) {
 	for i, op := range ops {
 		if i >= len(resp.Results) {
 			return
@@ -509,7 +498,13 @@ func (ap *AccessPoint) writeThrough(part string, epoch uint64, ops []se.TxnOp, r
 			if res.Meta.CSN == 0 {
 				continue // element did not return the post-image
 			}
-			ap.cache.WriteThrough(part, epoch, op.Key, res.Entry, res.Meta, res.Meta.Tombstone)
+			// Only the row the request's identity resolved to can have
+			// been addressed through it.
+			opVia := via
+			if op.Key != subID {
+				opVia = subscriber.Identity{}
+			}
+			ap.cache.WriteThrough(part, epoch, op.Key, opVia, res.Entry, res.Meta, res.Meta.Tombstone)
 		}
 	}
 }
@@ -531,26 +526,7 @@ func cacheLookupKey(c *fecache.Cache, req ExecReq) (string, bool) {
 	if id.Type == subscriber.UID {
 		return id.Value, true
 	}
-	if attr := identityAttr(id.Type); attr != "" {
-		return c.ResolveIdentity(attr, id.Value)
-	}
-	return "", false
-}
-
-// identityAttr maps an identity type to the entry attribute indexed
-// for it (empty for UID, which is the primary key itself).
-func identityAttr(t subscriber.IdentityType) string {
-	switch t {
-	case subscriber.IMSI:
-		return subscriber.AttrIMSI
-	case subscriber.MSISDN:
-		return subscriber.AttrMSISDN
-	case subscriber.IMPI:
-		return subscriber.AttrIMPI
-	case subscriber.IMPU:
-		return subscriber.AttrIMPU
-	}
-	return ""
+	return c.ResolveIdentity(id.Type.Attr(), id.Value)
 }
 
 // cachedResp shapes a cache hit as a normal ExecResp carrying the
@@ -567,17 +543,20 @@ func cachedResp(servedBy simnet.Addr, key string, v fecache.Value) ExecResp {
 	}
 }
 
-// nearestFirst orders replicas: co-located with this PoA first, then
-// master, then the rest.
-func (ap *AccessPoint) nearestFirst(replicas []ReplicaRef) []ReplicaRef {
-	out := make([]ReplicaRef, 0, len(replicas))
-	for _, r := range replicas {
-		if r.Site == ap.site {
-			out = append(out, r)
-		}
-	}
-	for _, r := range replicas {
-		if r.Site != ap.site {
+// nearestFirst appends the replicas not already in out: co-located
+// with this PoA first, then the rest in table order (master first).
+func (ap *AccessPoint) nearestFirst(out, replicas []ReplicaRef) []ReplicaRef {
+	for _, local := range [2]bool{true, false} {
+	next:
+		for _, r := range replicas {
+			if (r.Site == ap.site) != local {
+				continue
+			}
+			for _, have := range out {
+				if have.Element == r.Element {
+					continue next
+				}
+			}
 			out = append(out, r)
 		}
 	}
@@ -609,7 +588,7 @@ func (ap *AccessPoint) provision(ctx context.Context, req ProvisionReq) (Provisi
 	}
 	target := part.Master()
 	if ap.u.cfg.MultiMaster {
-		target = ap.nearestFirst(part.Replicas)[0]
+		target = ap.nearestFirst(nil, part.Replicas)[0]
 	}
 	if _, err := ap.u.net.Call(ctx, ap.addr, target.Addr, txn); err != nil {
 		return ProvisionResp{}, fmt.Errorf("%w: %v", ErrMasterUnreachable, err)

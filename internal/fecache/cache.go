@@ -30,10 +30,24 @@
 // through the cache for clients sticky to one PoA. Eviction drops the
 // floor with the entry: capacity bounds the protected set, which is
 // the explicit bounded-staleness trade documented in DESIGN.md.
+//
+// Aliases are learned, not derived. An entry is reachable through a
+// secondary identity only once a request addressed it by that identity
+// (Fill, WriteThrough and Learn take it as via), so a miss registers at
+// most one alias and an eviction removes only what was registered.
+// Installing a newer image re-checks the entry's registered aliases and
+// drops those the row no longer carries; it never adds one. Invariant:
+// an alias that resolves names a resident entry whose current image
+// carries that identity.
+//
+// Lock hierarchy: shard.mu → aliasStripe.mu. An entry's alias list is
+// guarded by its shard lock and every index mutation happens under it;
+// ResolveIdentity takes only the stripe lock. partsMu and partState.mu
+// are leaves: nothing is acquired while holding them, and the miss path
+// reads partition state from the published partView without a lock.
 package fecache
 
 import (
-	"container/list"
 	"hash/maphash"
 	"sync"
 	"sync/atomic"
@@ -42,7 +56,8 @@ import (
 	"repro/internal/subscriber"
 )
 
-// nShards is the lock-stripe count of the LRU; a power of two.
+// nShards is the lock-stripe count of the LRU and of the alias index;
+// a power of two.
 const nShards = 16
 
 // DefaultCapacity bounds the cache when the config leaves it zero.
@@ -88,58 +103,117 @@ type Value struct {
 // record is one resident entry. Immutable post-images are shared with
 // the store; the record never mutates them.
 type record struct {
-	key     string
-	part    string
-	ps      *partState
-	epoch   uint64
-	entry   store.Entry
-	meta    store.Meta
-	found   bool
-	floor   uint64
-	aliases []string
+	key   string
+	part  string
+	ps    *partState
+	epoch uint64
+	entry store.Entry
+	meta  store.Meta
+	found bool
+	floor uint64
+	// aliases are the identities registered for this record in the
+	// alias index (another record may since have taken one over).
+	aliases []subscriber.Identity
+	// prev/next link the shard's LRU ring.
+	prev, next *record
 }
 
-// partState tracks per-partition freshness: the current placement
-// epoch, which co-located elements are provably applying the current
-// lineage ("warm"), and which keys this cache holds for the partition.
-type partState struct {
-	epoch atomic.Uint64
+// state is the probe outcome for a resident record.
+func (r *record) state() LookupState {
+	if r.epoch != r.ps.view.Load().epoch {
+		return Guarded
+	}
+	return Hit
+}
 
-	mu sync.Mutex
+// partView is an immutable snapshot of a partition's freshness state:
+// the current placement epoch and which co-located elements are
+// provably applying that lineage ("warm").
+type partView struct {
+	epoch uint64
 	// warmAll short-circuits warmth at bootstrap (epoch 1): freshly
 	// assigned replicas are stream-attached from CSN 0, so every
 	// listed replica is a safe fill source until the first bump.
 	warmAll bool
 	warm    map[string]struct{}
-	keys    map[string]struct{}
 }
 
-func newPartState(epoch uint64, warmAll bool) *partState {
-	ps := &partState{warmAll: warmAll,
-		warm: make(map[string]struct{}), keys: make(map[string]struct{})}
-	ps.epoch.Store(epoch)
-	return ps
+func (v *partView) isWarm(element string) bool {
+	if v.warmAll {
+		return true
+	}
+	_, ok := v.warm[element]
+	return ok
 }
 
+// partState publishes a partition's partView; mu serialises the
+// copy-on-write publishers (epoch bumps, first observation of an
+// element under an epoch).
+type partState struct {
+	view atomic.Pointer[partView]
+	mu   sync.Mutex
+}
+
+// markWarm records that element applied a record under epoch and
+// reports whether that epoch is the partition's current one.
+func (ps *partState) markWarm(element string, epoch uint64) bool {
+	if v := ps.view.Load(); v.epoch != epoch || v.isWarm(element) {
+		return v.epoch == epoch
+	}
+	ps.mu.Lock()
+	defer ps.mu.Unlock()
+	v := ps.view.Load()
+	if v.epoch != epoch {
+		return false
+	}
+	warm := make(map[string]struct{}, len(v.warm)+1)
+	for el := range v.warm {
+		warm[el] = struct{}{}
+	}
+	warm[element] = struct{}{}
+	ps.view.Store(&partView{epoch: epoch, warm: warm})
+	return true
+}
+
+// cacheShard is one LRU stripe. root is the ring's sentinel: root.next
+// is the most recently used record, root.prev the eviction candidate.
 type cacheShard struct {
-	mu  sync.Mutex
-	lru *list.List
-	idx map[string]*list.Element
-	cap int
+	mu   sync.Mutex
+	idx  map[string]*record
+	root record
+	cap  int
+}
+
+func (sh *cacheShard) unlink(r *record) {
+	r.prev.next, r.next.prev = r.next, r.prev
+}
+
+func (sh *cacheShard) pushFront(r *record) {
+	r.prev, r.next = &sh.root, sh.root.next
+	r.prev.next, r.next.prev = r, r
+}
+
+func (sh *cacheShard) moveToFront(r *record) {
+	if sh.root.next != r {
+		sh.unlink(r)
+		sh.pushFront(r)
+	}
+}
+
+// aliasStripe is one stripe of the alias index: identity → primary key.
+type aliasStripe struct {
+	mu sync.Mutex
+	m  map[subscriber.Identity]string
 }
 
 // Cache is one site's FE/PoA subscriber read cache. Safe for
-// concurrent use. Lock hierarchy: shard.mu → partsMu → partState.mu;
-// no path acquires them in another order.
+// concurrent use; must not be copied.
 type Cache struct {
 	site     string
 	capacity int
 	seed     maphash.Seed
 	shards   [nShards]cacheShard
-
-	// aliases maps "attr\x00value" → primary key for the secondary
-	// identities of resident positive entries.
-	aliases sync.Map
+	aliases  [nShards]aliasStripe
 
 	partsMu sync.RWMutex
 	parts   map[string]*partState
@@ -183,12 +257,11 @@ func New(site string, capacity int) *Cache {
 	c := &Cache{site: site, capacity: capacity, seed: maphash.MakeSeed(),
 		parts: make(map[string]*partState)}
 	per := (capacity + nShards - 1) / nShards
-	if per < 1 {
-		per = 1
-	}
 	for i := range c.shards {
-		c.shards[i] = cacheShard{lru: list.New(),
-			idx: make(map[string]*list.Element), cap: per}
+		sh := &c.shards[i]
+		sh.idx, sh.cap = make(map[string]*record), per
+		sh.root.prev, sh.root.next = &sh.root, &sh.root
+		c.aliases[i].m = make(map[subscriber.Identity]string)
 	}
 	return c
 }
@@ -201,6 +274,10 @@ func (c *Cache) Capacity() int { return c.capacity }
 
 func (c *Cache) shard(key string) *cacheShard {
 	return &c.shards[maphash.String(c.seed, key)&(nShards-1)]
+}
+
+func (c *Cache) stripe(id subscriber.Identity) *aliasStripe {
+	return &c.aliases[maphash.String(c.seed, id.Value)&(nShards-1)]
 }
 
 func (c *Cache) part(part string) *partState {
@@ -216,19 +293,16 @@ func (c *Cache) part(part string) *partState {
 func (c *Cache) Lookup(key string) (Value, LookupState) {
 	sh := c.shard(key)
 	sh.mu.Lock()
-	el := sh.idx[key]
-	if el == nil {
+	rec, st := sh.idx[key], Miss
+	if rec != nil {
+		st = rec.state()
+	}
+	if st != Hit {
 		sh.mu.Unlock()
 		c.misses.Add(1)
-		return Value{}, Miss
+		return Value{}, st
 	}
-	rec := el.Value.(*record)
-	if rec.epoch != rec.ps.epoch.Load() {
-		sh.mu.Unlock()
-		c.misses.Add(1)
-		return Value{}, Guarded
-	}
-	sh.lru.MoveToFront(el)
+	sh.moveToFront(rec)
 	if rec.meta.CSN > rec.floor {
 		rec.floor = rec.meta.CSN
 	}
@@ -245,25 +319,38 @@ func (c *Cache) Peek(key string) LookupState {
 	sh := c.shard(key)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	el := sh.idx[key]
-	if el == nil {
-		return Miss
+	if rec := sh.idx[key]; rec != nil {
+		return rec.state()
 	}
-	rec := el.Value.(*record)
-	if rec.epoch != rec.ps.epoch.Load() {
-		return Guarded
-	}
-	return Hit
+	return Miss
 }
 
 // ResolveIdentity maps a secondary identity (attribute name + value)
-// to the primary key of a resident entry.
+// to the primary key of a resident entry, if a request has addressed
+// the entry through that identity before.
 func (c *Cache) ResolveIdentity(attr, value string) (string, bool) {
-	v, ok := c.aliases.Load(attr + "\x00" + value)
+	id, ok := subscriber.IdentityForAttr(attr, value)
 	if !ok {
 		return "", false
 	}
-	return v.(string), true
+	st := c.stripe(id)
+	st.mu.Lock()
+	key, ok := st.m[id]
+	st.mu.Unlock()
+	return key, ok
+}
+
+// Learn registers via as an alias of the resident entry for key: the
+// PoA calls it when a request addressed by via found the entry only
+// after the locator resolved the identity, so the next probe resolves
+// it in the cache.
+func (c *Cache) Learn(key string, via subscriber.Identity) {
+	sh := c.shard(key)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	if rec := sh.idx[key]; rec != nil {
+		c.learnLocked(rec, via)
+	}
 }
 
 // Floor returns the key's current-epoch staleness floor: the minimum
@@ -273,95 +360,83 @@ func (c *Cache) Floor(key string) uint64 {
 	sh := c.shard(key)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if el := sh.idx[key]; el != nil {
-		rec := el.Value.(*record)
-		if rec.epoch == rec.ps.epoch.Load() {
-			return rec.floor
-		}
+	if rec := sh.idx[key]; rec != nil && rec.state() == Hit {
+		return rec.floor
 	}
 	return 0
 }
 
 // Fill installs a read-through result served by element under the
-// given placement epoch. Non-master sources must be warm (observed
-// applying the current lineage) — a demoted master stuck on a
-// divergent tail never becomes warm, so its rows cannot poison the
-// cache after a failover. Negative results are cached only from the
-// master (a slave's not-found may just be replication lag).
+// given placement epoch, for a request that addressed the row through
+// via (zero for DN/UID-addressed requests). Non-master sources must be
+// warm (observed applying the current lineage) — a demoted master
+// stuck on a divergent tail never becomes warm, so its rows cannot
+// poison the cache after a failover. Negative results are cached only
+// from the master (a slave's not-found may just be replication lag).
 func (c *Cache) Fill(part string, epoch uint64, element string, fromMaster bool,
-	key string, e store.Entry, m store.Meta, found bool) {
+	key string, via subscriber.Identity, e store.Entry, m store.Meta, found bool) {
 	ps := c.part(part)
 	if ps == nil || (!found && !fromMaster) {
 		return
 	}
-	ps.mu.Lock()
-	if ps.epoch.Load() != epoch ||
-		(!fromMaster && !ps.warmAll && !member(ps.warm, element)) {
-		ps.mu.Unlock()
+	if v := ps.view.Load(); v.epoch != epoch || (!fromMaster && !v.isWarm(element)) {
 		return
 	}
-	ps.keys[key] = struct{}{}
-	ps.mu.Unlock()
-	c.install(ps, part, epoch, key, e, m, found, false)
+	c.install(ps, part, epoch, key, via, e, m, found, false)
 }
 
-// WriteThrough installs this PoA's own committed post-image. It is
-// the only path allowed to replace a guarded (stale-epoch) entry: a
-// commit under the current lineage supersedes any floor obligation
-// the old lineage left behind, because its CSN is a valid floor in
-// the new lineage and the written value is by construction at least
-// as new as anything any local client has seen.
+// WriteThrough installs this PoA's own committed post-image, for a
+// write that addressed the row through via. It is the only path
+// allowed to replace a guarded (stale-epoch) entry: a commit under the
+// current lineage supersedes any floor obligation the old lineage left
+// behind, because its CSN is a valid floor in the new lineage and the
+// written value is by construction at least as new as anything any
+// local client has seen.
 func (c *Cache) WriteThrough(part string, epoch uint64, key string,
-	e store.Entry, m store.Meta, tombstone bool) {
+	via subscriber.Identity, e store.Entry, m store.Meta, tombstone bool) {
 	ps := c.part(part)
-	if ps == nil || m.CSN == 0 {
+	if ps == nil || m.CSN == 0 || ps.view.Load().epoch != epoch {
 		return
 	}
-	ps.mu.Lock()
-	if ps.epoch.Load() != epoch {
-		ps.mu.Unlock()
-		return
-	}
-	ps.keys[key] = struct{}{}
-	ps.mu.Unlock()
-	c.install(ps, part, epoch, key, e, m, !tombstone, true)
+	c.install(ps, part, epoch, key, via, e, m, !tombstone, true)
 }
 
 // install is the shared insert/update path. writeThrough relaxes the
 // floor check (a commit may legitimately carry the floor CSN itself)
 // and is the only caller allowed to cross epochs.
 func (c *Cache) install(ps *partState, part string, epoch uint64, key string,
-	e store.Entry, m store.Meta, found, writeThrough bool) {
+	via subscriber.Identity, e store.Entry, m store.Meta, found, writeThrough bool) {
 	sh := c.shard(key)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if el := sh.idx[key]; el != nil {
-		rec := el.Value.(*record)
-		if rec.epoch == epoch {
-			if rec.meta.CSN > m.CSN || (!writeThrough && m.CSN < rec.floor) {
-				return // resident state is already newer
-			}
-			c.setValueLocked(rec, e, m, found)
-			if m.CSN > rec.floor {
-				rec.floor = m.CSN
-			}
-			sh.lru.MoveToFront(el)
-			return
+	rec := sh.idx[key]
+	switch {
+	case rec == nil:
+		// A full shard recycles its coldest record for the new key.
+		if len(sh.idx) >= sh.cap {
+			rec = c.evictLocked(sh)
+		} else {
+			rec = new(record)
 		}
-		if !writeThrough || epoch < rec.epoch {
-			return // read-through must not lift the epoch guard
+		*rec = record{key: key, part: part, ps: ps, epoch: epoch, floor: m.CSN,
+			aliases: rec.aliases[:0]}
+		sh.idx[key] = rec
+		sh.pushFront(rec)
+	case rec.epoch == epoch:
+		if rec.meta.CSN > m.CSN || (!writeThrough && m.CSN < rec.floor) {
+			return // resident state is already newer
 		}
+		if m.CSN > rec.floor {
+			rec.floor = m.CSN
+		}
+	case !writeThrough || epoch < rec.epoch:
+		return // read-through must not lift the epoch guard
+	default:
 		rec.part, rec.ps, rec.epoch, rec.floor = part, ps, epoch, m.CSN
-		c.setValueLocked(rec, e, m, found)
-		sh.lru.MoveToFront(el)
-		return
 	}
-	rec := &record{key: key, part: part, ps: ps, epoch: epoch, floor: m.CSN}
 	c.setValueLocked(rec, e, m, found)
-	sh.idx[key] = sh.lru.PushFront(rec)
-	if sh.lru.Len() > sh.cap {
-		c.evictLocked(sh)
-	}
+	c.learnLocked(rec, via)
+	sh.moveToFront(rec)
 }
 
 // Observe feeds a commit record installed by a co-located element
@@ -374,33 +449,20 @@ func (c *Cache) Observe(part, element string, epoch uint64, rec *store.CommitRec
 		return
 	}
 	ps := c.part(part)
-	if ps == nil {
+	if ps == nil || !ps.markWarm(element, epoch) {
 		return
 	}
-	ps.mu.Lock()
-	if ps.epoch.Load() != epoch {
-		ps.mu.Unlock()
-		return
-	}
-	if !ps.warmAll {
-		ps.warm[element] = struct{}{}
-	}
-	ps.mu.Unlock()
 	for _, op := range rec.Ops {
-		c.observeOp(part, epoch, rec, op)
+		c.observeOp(ps, epoch, rec, op)
 	}
 }
 
-func (c *Cache) observeOp(part string, epoch uint64, rec *store.CommitRecord, op store.Op) {
+func (c *Cache) observeOp(ps *partState, epoch uint64, rec *store.CommitRecord, op store.Op) {
 	sh := c.shard(op.Key)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	el := sh.idx[op.Key]
-	if el == nil {
-		return
-	}
-	r := el.Value.(*record)
-	if r.part != part || r.epoch != epoch || rec.CSN <= r.meta.CSN {
+	r := sh.idx[op.Key]
+	if r == nil || r.ps != ps || r.epoch != epoch || rec.CSN <= r.meta.CSN {
 		return
 	}
 	m := store.Meta{CSN: rec.CSN, WallTS: rec.WallTS,
@@ -418,25 +480,21 @@ func (c *Cache) OnEpochBump(part string, epoch uint64) {
 	c.partsMu.Lock()
 	ps := c.parts[part]
 	if ps == nil {
-		c.parts[part] = newPartState(epoch, true)
+		ps = new(partState)
+		ps.view.Store(&partView{epoch: epoch, warmAll: true})
+		c.parts[part] = ps
 		c.partsMu.Unlock()
 		return
 	}
 	c.partsMu.Unlock()
 
 	ps.mu.Lock()
-	prev := ps.epoch.Load()
+	prev := ps.view.Load().epoch
 	if epoch <= prev {
 		ps.mu.Unlock()
 		return
 	}
-	ps.epoch.Store(epoch)
-	ps.warmAll = false
-	ps.warm = make(map[string]struct{})
-	keys := make([]string, 0, len(ps.keys))
-	for k := range ps.keys {
-		keys = append(keys, k)
-	}
+	ps.view.Store(&partView{epoch: epoch})
 	ps.mu.Unlock()
 
 	// Count the entries that just became guarded. They stay resident
@@ -444,11 +502,11 @@ func (c *Cache) OnEpochBump(part string, epoch uint64) {
 	// write-through replaces them: CSNs are not comparable across
 	// epochs, and deleting would forget the per-key floor obligation.
 	var n uint64
-	for _, k := range keys {
-		sh := c.shard(k)
+	for i := range c.shards {
+		sh := &c.shards[i]
 		sh.mu.Lock()
-		if el := sh.idx[k]; el != nil {
-			if r := el.Value.(*record); r.part == part && r.epoch == prev {
+		for _, r := range sh.idx {
+			if r.ps == ps && r.epoch == prev {
 				n++
 			}
 		}
@@ -466,12 +524,7 @@ func (c *Cache) OnEpochBump(part string, epoch uint64) {
 // the partition under its current epoch.
 func (c *Cache) Warm(part, element string) bool {
 	ps := c.part(part)
-	if ps == nil {
-		return false
-	}
-	ps.mu.Lock()
-	defer ps.mu.Unlock()
-	return ps.warmAll || member(ps.warm, element)
+	return ps != nil && ps.view.Load().isWarm(element)
 }
 
 // RecordStaleReject counts a slave response rejected for carrying a
@@ -484,7 +537,7 @@ func (c *Cache) Len() int {
 	for i := range c.shards {
 		sh := &c.shards[i]
 		sh.mu.Lock()
-		n += sh.lru.Len()
+		n += len(sh.idx)
 		sh.mu.Unlock()
 	}
 	return n
@@ -509,50 +562,70 @@ func (c *Cache) Stats() Stats {
 	return s
 }
 
-// setValueLocked replaces a record's value and re-derives its
-// secondary-identity aliases. Caller holds the record's shard lock.
-func (c *Cache) setValueLocked(rec *record, e store.Entry, m store.Meta, found bool) {
-	c.dropAliasesLocked(rec)
-	rec.entry, rec.meta, rec.found = e, m, found
-	rec.aliases = rec.aliases[:0]
-	if !found {
-		return
-	}
-	for _, attr := range subscriber.IdentityAttrs {
-		for _, v := range e[attr] {
-			a := attr + "\x00" + v
-			rec.aliases = append(rec.aliases, a)
-			c.aliases.Store(a, rec.key)
+// carries reports whether the image holds the identity.
+func carries(e store.Entry, id subscriber.Identity) bool {
+	for _, v := range e[id.Type.Attr()] {
+		if v == id.Value {
+			return true
 		}
 	}
+	return false
 }
 
-func (c *Cache) dropAliasesLocked(rec *record) {
+// learnLocked points via at rec in the alias index, provided rec's
+// image carries it. Caller holds rec's shard lock.
+func (c *Cache) learnLocked(rec *record, via subscriber.Identity) {
+	if via.Value == "" || !rec.found || !carries(rec.entry, via) {
+		return
+	}
+	st := c.stripe(via)
+	st.mu.Lock()
+	st.m[via] = rec.key
+	st.mu.Unlock()
 	for _, a := range rec.aliases {
-		if v, ok := c.aliases.Load(a); ok && v == rec.key {
-			c.aliases.Delete(a)
+		if a == via {
+			return
 		}
 	}
+	rec.aliases = append(rec.aliases, via)
 }
 
-// evictLocked removes the shard's LRU tail. Eviction drops the key's
-// floor with it — the documented capacity/staleness-protection trade.
-func (c *Cache) evictLocked(sh *cacheShard) {
-	el := sh.lru.Back()
-	if el == nil {
-		return
+// setValueLocked replaces rec's image and drops the registered aliases
+// the new image no longer carries. Caller holds rec's shard lock.
+func (c *Cache) setValueLocked(rec *record, e store.Entry, m store.Meta, found bool) {
+	rec.entry, rec.meta, rec.found = e, m, found
+	kept := rec.aliases[:0]
+	for _, a := range rec.aliases {
+		if found && carries(e, a) {
+			kept = append(kept, a)
+		} else {
+			c.unalias(a, rec.key)
+		}
 	}
-	rec := el.Value.(*record)
-	sh.lru.Remove(el)
-	delete(sh.idx, rec.key)
-	c.dropAliasesLocked(rec)
-	rec.ps.mu.Lock()
-	delete(rec.ps.keys, rec.key)
-	rec.ps.mu.Unlock()
-	c.evictions.Add(1)
+	rec.aliases = kept
 }
 
-func member(m map[string]struct{}, k string) bool {
-	_, ok := m[k]
-	return ok
+// unalias removes the index entry for a unless another record has
+// since taken the identity over.
+func (c *Cache) unalias(a subscriber.Identity, key string) {
+	st := c.stripe(a)
+	st.mu.Lock()
+	if st.m[a] == key {
+		delete(st.m, a)
+	}
+	st.mu.Unlock()
+}
+
+// evictLocked unlinks and returns the shard's coldest record. Eviction
+// drops the key's floor with it — the documented capacity/staleness-
+// protection trade.
+func (c *Cache) evictLocked(sh *cacheShard) *record {
+	rec := sh.root.prev
+	sh.unlink(rec)
+	delete(sh.idx, rec.key)
+	for _, a := range rec.aliases {
+		c.unalias(a, rec.key)
+	}
+	c.evictions.Add(1)
+	return rec
 }

@@ -1022,19 +1022,8 @@ func fillPostImages(resp *TxnResp, ops []TxnOp, rec *store.CommitRecord) {
 // is the reason the paper's provisioned location maps exist, and E9
 // and E17 measure it.
 func (e *Element) find(req FindReq) FindResp {
-	idType := req.Identity.Type
-	value := req.Identity.Value
-	var attr string
-	switch idType {
-	case subscriber.IMSI:
-		attr = subscriber.AttrIMSI
-	case subscriber.MSISDN:
-		attr = subscriber.AttrMSISDN
-	case subscriber.IMPI:
-		attr = subscriber.AttrIMPI
-	case subscriber.IMPU:
-		attr = subscriber.AttrIMPU
-	default:
+	attr, value := req.Identity.Type.Attr(), req.Identity.Value
+	if attr == "" {
 		return FindResp{}
 	}
 

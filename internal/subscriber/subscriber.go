@@ -182,6 +182,33 @@ const ObjectClass = "udrSubscription"
 // secondary indexes over for the §3.4 identity-search fallback.
 var IdentityAttrs = []string{AttrIMSI, AttrMSISDN, AttrIMPI, AttrIMPU}
 
+// Attr returns the entry attribute that carries identities of this
+// type; empty for UID, which is the row key itself.
+func (t IdentityType) Attr() string {
+	switch t {
+	case IMSI:
+		return AttrIMSI
+	case MSISDN:
+		return AttrMSISDN
+	case IMPI:
+		return AttrIMPI
+	case IMPU:
+		return AttrIMPU
+	}
+	return ""
+}
+
+// IdentityForAttr is the inverse of Attr: the identity an
+// (attribute, value) pair names, false for non-identity attributes.
+func IdentityForAttr(attr, value string) (Identity, bool) {
+	for t := IMSI; t < UID; t++ {
+		if t.Attr() == attr {
+			return Identity{Type: t, Value: value}, true
+		}
+	}
+	return Identity{}, false
+}
+
 func boolStr(b bool) string {
 	if b {
 		return "TRUE"

@@ -99,6 +99,21 @@ func TestIdentityString(t *testing.T) {
 	}
 }
 
+func TestIdentityAttrRoundTrip(t *testing.T) {
+	for i, attr := range IdentityAttrs {
+		id, ok := IdentityForAttr(attr, "v")
+		if !ok || id.Value != "v" || id.Type.Attr() != attr {
+			t.Fatalf("IdentityAttrs[%d]=%s: got %v/%v", i, attr, id, ok)
+		}
+	}
+	if UID.Attr() != "" {
+		t.Fatal("UID is the row key, not an indexed attribute")
+	}
+	if _, ok := IdentityForAttr(AttrArea, "v"); ok {
+		t.Fatal("a non-identity attribute named an identity")
+	}
+}
+
 func TestDNRoundTrip(t *testing.T) {
 	dn := DN("sub-00000042")
 	if !strings.HasPrefix(dn, "uid=sub-00000042,") {
