@@ -1,14 +1,6 @@
 GO ?= go
 
-# Benchmarks included in the archived perf trajectory (bench-json).
-SMOKE_BENCH ?= ^(BenchmarkStoreRead|BenchmarkStoreReadParallel|BenchmarkStoreCommit|BenchmarkStoreCommitParallel|BenchmarkStoreMixedParallel|BenchmarkStoreFindIndexed|BenchmarkFEReadPath|BenchmarkFEReadPathParallel|BenchmarkFECachedRead|BenchmarkFECachedReadParallel|BenchmarkFEHotKeyMixedCached|BenchmarkReplicationApply|BenchmarkWALAppendSync|BenchmarkWALGroupCommitParallel|BenchmarkCommitDurableParallel|BenchmarkCommitQuorum|BenchmarkCommitSyncAll|BenchmarkMigratePartition|BenchmarkTracedCommit|BenchmarkUntracedCommit)$$
-SMOKE_BENCHTIME ?= 2000x
-# Heavy 100k-row scale benchmarks: run once each (throughput/footprint
-# figures, not per-op latencies) and appended to the same snapshot.
-SCALE_BENCH ?= ^(BenchmarkWALCheckpoint|BenchmarkWALRecover|BenchmarkStoreResident)$$
-BENCH_JSON ?= BENCH_PR10.json
-
-.PHONY: build test test-race bench bench-json bench-e2e chaos chaos-long obs-smoke cluster-demo scale-smoke lint clean
+.PHONY: build test test-race bench-e2e chaos chaos-long obs-smoke cluster-demo scale-smoke lint clean
 
 build:
 	$(GO) build ./...
@@ -28,17 +20,6 @@ chaos:
 
 chaos-long:
 	$(GO) test -race -timeout 1800s -run TestChaosSoak -chaos.long -v ./internal/consistency/
-
-# Primitive benchmarks plus the quick-mode experiment benchmarks.
-bench:
-	$(GO) test -run xxx -bench . -benchtime=1x ./...
-
-# Short benchmark suite → machine-readable perf snapshot (the per-PR
-# trajectory; CI runs this as the smoke-bench job).
-bench-json:
-	( $(GO) test -run xxx -bench '$(SMOKE_BENCH)' -benchtime=$(SMOKE_BENCHTIME) . && \
-	  $(GO) test -run xxx -bench '$(SCALE_BENCH)' -benchtime=1x . ) \
-	  | tee bench.out | $(GO) run ./cmd/benchjson -o $(BENCH_JSON)
 
 # Every workload of the repo's benchmark (BENCHMARK.json) for one
 # measured second: the exit code is the correctness of every answer and
@@ -70,4 +51,4 @@ lint:
 
 clean:
 	$(GO) clean ./...
-	rm -f udrd udrctl udrbench provision *.test bench.out cpu.prof mem.prof
+	rm -f udrd udrctl udrbench provision *.test cpu.prof mem.prof

@@ -1,4 +1,4 @@
-// Command udrbench runs the paper-reproduction experiments (E1–E19)
+// Command udrbench runs the paper-reproduction experiments (E1–E24)
 // and prints their reports: the tables and series behind every figure
 // and quantitative claim in "CAP Limits in Telecom Subscriber
 // Database Design" (see DESIGN.md for the architecture and

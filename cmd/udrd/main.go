@@ -64,7 +64,6 @@ func run() error {
 		policy   = flag.String("policy", "ps", "session policy behind the LDAP interface: fe or ps")
 		walDir   = flag.String("wal-dir", "", "enable disk persistence under this directory")
 		walSync  = flag.Bool("wal-sync", false, "fsync every commit (dump-before-commit durability, group-committed)")
-		walNoGC  = flag.Bool("wal-no-group-commit", false, "disable WAL fsync coalescing (one fsync per commit)")
 		ckptIv   = flag.Duration("checkpoint-interval", 0, "incremental WAL checkpoint cadence (0 disables; requires -wal-dir)")
 		multiMas = flag.Bool("multi-master", false, "enable §5 multi-master mode")
 		antiEnt  = flag.Bool("anti-entropy", true, "enable Merkle-digest replica repair")
@@ -90,8 +89,8 @@ func run() error {
 
 	siteNames := strings.Split(*sites, ",")
 	cfg := core.Config{
-		ReplicationFactor: *rf, FESlaveReads: true, MultiMaster: *multiMas, WALDir: *walDir,
-		WALNoGroupCommit: *walNoGC, CheckpointInterval: *ckptIv,
+		ReplicationFactor: *rf, MultiMaster: *multiMas,
+		WALDir: *walDir, CheckpointInterval: *ckptIv,
 		AntiEntropy: *antiEnt, RepairInterval: *repairIv,
 		FECache: *feCache, FECacheCapacity: *feCacheN, FECacheSlaveLB: *feCache,
 		Durability: durability, QuorumPolicy: qpol,

@@ -124,9 +124,6 @@ type Config struct {
 	LocatorMode locator.Mode
 	// MultiMaster enables the §5 evolution.
 	MultiMaster bool
-	// FESlaveReads allows front-end reads on slave copies (§3.3.2,
-	// default true; set false for the ablation bench).
-	FESlaveReads bool
 	// FECache enables the per-site FE/PoA subscriber read cache
 	// (internal/fecache): repeat FE reads are served at the access
 	// layer, invalidated by the replication-stream CSN, placement-epoch
@@ -150,16 +147,10 @@ type Config struct {
 	WALDir string
 	// WALMode selects periodic or sync-every-commit durability.
 	WALMode wal.Mode
-	// WALInterval is the periodic WAL flush interval.
-	WALInterval time.Duration
 	// CheckpointInterval, when non-zero, runs an incremental WAL
 	// checkpoint (durable store image + log prefix prune) on every
 	// storage element at this cadence. Requires WALDir.
 	CheckpointInterval time.Duration
-	// WALNoGroupCommit disables WAL fsync coalescing in
-	// sync-every-commit mode (one fsync per commit, serialized): the
-	// E18 baseline. Leave false for group commit.
-	WALNoGroupCommit bool
 	// LDAPServiceTime is the PoA's per-operation service time used
 	// to model finite LDAP server capacity (E7); 0 disables.
 	LDAPServiceTime time.Duration
@@ -173,32 +164,14 @@ type Config struct {
 	// periodic tick (repairs then run on heal detection and on
 	// demand via RepairPartition / RepairAll / udrctl repair).
 	RepairInterval time.Duration
-	// RepairMaxRows caps row transfers per repair round per peer
-	// (the backbone bandwidth cap); 0 = unlimited.
-	RepairMaxRows int
 	// HealPollInterval is the partition-heal detection poll cadence
 	// (default 10ms at the compressed sim scale).
 	HealPollInterval time.Duration
-	// LegacyFindScan forces the storage elements' identity search
-	// (the §3.5 cached-locator fallback) through the legacy
-	// full-partition scan instead of the secondary identity index,
-	// and disables index maintenance. E9/E17 use it to keep the scan
-	// cost measurable.
-	LegacyFindScan bool
 	// RebalanceOnAddSite runs a rebalancing pass after a scale-out
 	// site joins (§3.4.2), migrating master partitions onto the new
 	// capacity so it takes load immediately instead of only serving
 	// future subscribers. Off by default: E9 measures the bare join.
 	RebalanceOnAddSite bool
-	// RebalanceMaxMoves bounds one rebalancing pass (default 8).
-	RebalanceMaxMoves int
-	// RebalanceConcurrency caps concurrently executing moves in a
-	// rebalancing pass (default 2; each move streams a partition over
-	// the backbone).
-	RebalanceConcurrency int
-	// MigrateBatchRows bounds rows per migration bulk-copy round trip
-	// (default 128).
-	MigrateBatchRows int
 	// MigrateCatchUpTimeout bounds a migration's catch-up phase
 	// (default 2s).
 	MigrateCatchUpTimeout time.Duration
@@ -217,8 +190,7 @@ type Config struct {
 // DefaultConfig returns the paper's baseline: three sites (the
 // Figure 2 layout), one SE per site each mastering one partition,
 // replication factor 3 (every SE also carries the other two
-// partitions as slaves), async replication, provisioned maps, FE
-// slave reads on.
+// partitions as slaves), async replication, provisioned maps.
 func DefaultConfig() Config {
 	return Config{
 		Sites: []SiteSpec{
@@ -229,7 +201,6 @@ func DefaultConfig() Config {
 		ReplicationFactor: 3,
 		Durability:        replication.Async,
 		LocatorMode:       locator.Provisioned,
-		FESlaveReads:      true,
 	}
 }
 
@@ -366,13 +337,9 @@ func (u *UDR) buildSiteLocked(spec SiteSpec, primed bool) error {
 			Site:                 site,
 			CapacityPerPartition: u.cfg.CapacityPerSE,
 			WALMode:              u.cfg.WALMode,
-			WALInterval:          u.cfg.WALInterval,
-			WALNoGroupCommit:     u.cfg.WALNoGroupCommit,
 			CheckpointInterval:   u.cfg.CheckpointInterval,
 			AntiEntropy:          u.cfg.AntiEntropy,
 			RepairInterval:       u.cfg.RepairInterval,
-			RepairMaxRows:        u.cfg.RepairMaxRows,
-			LegacyFindScan:       u.cfg.LegacyFindScan,
 		}
 		if u.cfg.WALDir != "" {
 			cfg.WALDir = u.cfg.WALDir + "/" + cfg.ID

@@ -297,28 +297,52 @@ func TestPSReadsRequireMaster(t *testing.T) {
 	}
 }
 
-func TestFESlaveReadsDisabledAblation(t *testing.T) {
-	// With FESlaveReads=false every FE read goes to the master.
-	net, u, profiles := testUDR(t, 3, func(c *Config) { c.FESlaveReads = false })
-	ctx := ctxT(t)
-	site := u.Sites()[0]
-	var remote *subscriber.Profile
-	for _, p := range profiles {
-		if p.HomeRegion != site {
-			remote = p
-			break
-		}
-	}
-	fe := NewSession(net, simnet.MakeAddr(site, "fe"), site, PolicyFE)
-	resp, err := fe.Exec(ctx, ExecReq{
-		Identity: subscriber.Identity{Type: subscriber.IMSI, Value: remote.IMSIVal},
-		Ops:      []se.TxnOp{{Kind: se.TxnGet}},
+// The policy class selects the replica (§3.3.2, §3.3.3), with no
+// config knob beside it: on a literal Config — no DefaultConfig — an FE
+// read of a remote-home subscriber is served by the co-located slave,
+// the same read under PS policy by the remote master.
+func TestReadPolicySelectsReplica(t *testing.T) {
+	net := simnet.New(simnet.FastConfig())
+	u, err := New(net, Config{
+		Sites:             []SiteSpec{{Name: "eu-south"}, {Name: "eu-north"}, {Name: "americas"}},
+		ReplicationFactor: 3,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.Role != store.Master || resp.ServedBy.Site() == site {
-		t.Fatalf("read served by %s role %v, want remote master", resp.ServedBy, resp.Role)
+	t.Cleanup(u.Stop)
+	ctx := ctxT(t)
+	site := u.Sites()[0]
+	gen := subscriber.NewGenerator(u.Sites()...)
+	var remote *subscriber.Profile
+	for i := 0; remote == nil; i++ {
+		if p := gen.Profile(i); p.HomeRegion != site {
+			remote = p
+		}
+	}
+	if err := u.SeedDirect(remote); err != nil {
+		t.Fatal(err)
+	}
+	if err := u.WaitReplication(ctx); err != nil {
+		t.Fatal(err)
+	}
+	read := func(policy Policy) ExecResp {
+		t.Helper()
+		sess := NewSession(net, simnet.MakeAddr(site, "client-"+policy.String()), site, policy)
+		resp, err := sess.Exec(ctx, ExecReq{
+			Identity: subscriber.Identity{Type: subscriber.IMSI, Value: remote.IMSIVal},
+			Ops:      []se.TxnOp{{Kind: se.TxnGet}},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return *resp
+	}
+	if resp := read(PolicyFE); resp.Role != store.Slave || resp.ServedBy.Site() != site {
+		t.Fatalf("FE read served by %s role %v, want co-located slave", resp.ServedBy, resp.Role)
+	}
+	if resp := read(PolicyPS); resp.Role != store.Master || resp.ServedBy.Site() == site {
+		t.Fatalf("PS read served by %s role %v, want remote master", resp.ServedBy, resp.Role)
 	}
 }
 

@@ -275,8 +275,7 @@ func identityFromFilter(f ldap.Filter) (subscriber.Identity, bool) {
 // filter (the UDR is an indexed subscriber store, not a general
 // directory). Equality filters over identity attributes route through
 // the location stage and, on a cached-locator miss, the storage
-// elements' secondary identity indexes — never a partition scan
-// unless the UDR runs with LegacyFindScan.
+// elements' secondary identity indexes, not a partition scan.
 func (b *LDAPBackend) Search(req *ldap.SearchRequest) ([]ldap.SearchEntry, ldap.Result) {
 	ctx, cancel := context.WithTimeout(context.Background(), b.timeout)
 	defer cancel()

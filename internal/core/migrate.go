@@ -25,7 +25,6 @@ func WithMigrateHooks(h rebalance.Hooks) MigrateOption {
 func (u *UDR) newMigrator() *rebalance.Migrator {
 	return &rebalance.Migrator{
 		Net:            u.net,
-		BatchRows:      u.cfg.MigrateBatchRows,
 		CatchUpTimeout: u.cfg.MigrateCatchUpTimeout,
 		FreezeTimeout:  u.cfg.MigrateFreezeTimeout,
 	}
@@ -247,25 +246,24 @@ func (r *RebalanceResult) String() string {
 	return b.String()
 }
 
+// rebalanceConcurrency caps concurrently executing moves in a
+// rebalancing pass: each move streams a partition over the backbone.
+const rebalanceConcurrency = 2
+
 // Rebalance computes a move plan from the current per-element load
-// and executes it with the configured concurrency cap. Sources demote
-// to slaves (moves never shrink the replica set). Partial failure is
-// reported, not fatal: an aborted move leaves its partition where it
-// was, and the next pass replans from the actual state.
+// and executes it, at most rebalanceConcurrency moves at a time.
+// Sources demote to slaves (moves never shrink the replica set).
+// Partial failure is reported, not fatal: an aborted move leaves its
+// partition where it was, and the next pass replans from the actual
+// state.
 func (u *UDR) Rebalance(ctx context.Context) (*RebalanceResult, error) {
-	plan := rebalance.Plan(u.ElementLoads(), rebalance.PlanOpts{
-		MaxMoves: u.cfg.RebalanceMaxMoves,
-	})
+	plan := rebalance.Plan(u.ElementLoads(), rebalance.PlanOpts{})
 	res := &RebalanceResult{Plan: plan, Reports: make([]*rebalance.Report, len(plan))}
 	if len(plan) == 0 {
 		return res, nil
 	}
 
-	conc := u.cfg.RebalanceConcurrency
-	if conc <= 0 {
-		conc = 2
-	}
-	sem := make(chan struct{}, conc)
+	sem := make(chan struct{}, rebalanceConcurrency)
 	var wg sync.WaitGroup
 	var mu sync.Mutex
 	var firstErr error

@@ -416,7 +416,7 @@ func (ap *AccessPoint) orderTargets(buf []ReplicaRef, part Partition, req ExecRe
 		// Cross-epoch guard: master only, no fallbacks — a stale
 		// slave could silently regress below the old-lineage floor.
 		return append(buf, master)
-	case req.ReadOnly && req.Policy == PolicyFE && ap.u.cfg.FESlaveReads:
+	case req.ReadOnly && req.Policy == PolicyFE:
 		if ap.cacheableRead(req) {
 			return ap.cacheTargets(buf, part)
 		}

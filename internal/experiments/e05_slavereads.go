@@ -23,9 +23,9 @@ func init() {
 
 // e5Setup builds the UDR and returns a subscriber whose master is
 // remote from the reading site.
-func e5Setup(opts Options, mutate ...func(*core.Config)) (net *simnet.Network, u *core.UDR, reader string, target *subscriber.Profile, err error) {
+func e5Setup(opts Options) (net *simnet.Network, u *core.UDR, reader string, target *subscriber.Profile, err error) {
 	subs, _ := sizes(opts)
-	n, udr, profiles, err := buildUDR(opts, subs, mutate...)
+	n, udr, profiles, err := buildUDR(opts, subs)
 	if err != nil {
 		return nil, nil, "", nil, err
 	}
@@ -48,14 +48,16 @@ func runE5(ctx context.Context, opts Options) (*Report, error) {
 	rep := NewReport("E5", "Slave reads: latency win vs staleness cost")
 	_, ops := sizes(opts)
 
-	measure := func(slaveReads bool) (lat metrics.Snapshot, staleRate float64, err error) {
-		net, u, reader, target, err := e5Setup(opts, func(c *core.Config) { c.FESlaveReads = slaveReads })
+	// The policy class is the selection (§3.3.2 vs §3.3.3): the
+	// master-only row reads through a PS-policy session.
+	measure := func(session func(*simnet.Network, string) *core.Session) (lat metrics.Snapshot, staleRate float64, err error) {
+		net, u, reader, target, err := e5Setup(opts)
 		if err != nil {
 			return metrics.Snapshot{}, 0, err
 		}
 		defer u.Stop()
 
-		fe := feSession(net, reader)
+		read := session(net, reader)
 		writer := psSession(net, target.HomeRegion)
 		id := subscriber.Identity{Type: subscriber.IMSI, Value: target.IMSIVal}
 
@@ -76,7 +78,7 @@ func runE5(ctx context.Context, opts Options) (*Report, error) {
 			// slave reads the local copy may not have caught up:
 			// the CSN tells us whether the read was stale.
 			start := time.Now()
-			resp, err := fe.Exec(ctx, core.ExecReq{
+			resp, err := read.Exec(ctx, core.ExecReq{
 				Identity: id,
 				Ops:      []se.TxnOp{{Kind: se.TxnGet}},
 			})
@@ -92,11 +94,11 @@ func runE5(ctx context.Context, opts Options) (*Report, error) {
 		return hist.Snapshot(), float64(stale) / float64(total), nil
 	}
 
-	withSlaves, staleWith, err := measure(true)
+	withSlaves, staleWith, err := measure(feSession)
 	if err != nil {
 		return nil, err
 	}
-	masterOnly, staleWithout, err := measure(false)
+	masterOnly, staleWithout, err := measure(psSession)
 	if err != nil {
 		return nil, err
 	}

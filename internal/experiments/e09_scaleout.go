@@ -66,18 +66,23 @@ func runE9(ctx context.Context, opts Options) (*Report, error) {
 	rep.Check("new PoA unavailable until maps synced", errors.Is(err, locator.ErrNotReady))
 
 	// Cached alternative: no dip, but misses fan out across SEs.
-	// LegacyFindScan keeps the SE-side resolution on the paper's full
-	// partition scan, so this measures the uncushioned miss cost the
-	// §3.5 trade-off is about (E17 measures scan vs identity index).
 	subsCached := populations[0]
 	net, u, profiles, err := buildUDR(opts, subsCached, func(c *core.Config) {
 		c.LocatorMode = locator.Cached
-		c.LegacyFindScan = true
 	})
 	if err != nil {
 		return nil, err
 	}
 	defer u.Stop()
+	// No indexed attributes = no identity index: the SE-side resolution
+	// stays on the paper's full partition scan, the uncushioned miss cost
+	// of §3.5 (E17 measures scan vs index). buildUDR left the UDR quiescent.
+	for _, id := range u.Elements() {
+		el := u.Element(id)
+		for _, part := range el.Partitions() {
+			el.Replica(part).Store.SetIndexedAttrs()
+		}
+	}
 	d, entries, err := u.AddSite(ctx, core.SiteSpec{Name: "cached-site", SEs: 1, PartitionsPerSE: 1})
 	if err != nil {
 		return nil, err

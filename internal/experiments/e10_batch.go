@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/failure"
 	"repro/internal/ps"
 	"repro/internal/subscriber"
 )
@@ -55,7 +54,7 @@ func runE10(ctx context.Context, opts Options) (*Report, error) {
 			glitchDone = make(chan struct{})
 			time.AfterFunc(glitchStart, func() {
 				defer close(glitchDone)
-				failure.Glitch(ctx, net, []string{site}, glitchLen)
+				net.Glitch(ctx, []string{site}, glitchLen)
 			})
 		}
 		res := system.RunBatch(ctx, profiles, interval, stopOnError)

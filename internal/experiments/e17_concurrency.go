@@ -106,7 +106,7 @@ func runE17(ctx context.Context, opts Options) (*Report, error) {
 	// --- Part B: identity find — secondary index vs legacy scan ------
 	net := simnet.New(simnet.FastConfig())
 	elIdx := se.New(net, se.Config{ID: "se-idx", Site: "eu"})
-	elScan := se.New(net, se.Config{ID: "se-scan", Site: "eu", LegacyFindScan: true})
+	elScan := se.New(net, se.Config{ID: "se-scan", Site: "eu"})
 	defer elIdx.Stop()
 	defer elScan.Stop()
 	prIdx, err := elIdx.AddReplica("p", store.Master)
@@ -117,6 +117,8 @@ func runE17(ctx context.Context, opts Options) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
+	// No indexed attributes = no index: FindReq falls back to the scan.
+	prScan.Store.SetIndexedAttrs()
 	gen := subscriber.NewGenerator("eu")
 	profiles := make([]*subscriber.Profile, findRows)
 	for i := range profiles {

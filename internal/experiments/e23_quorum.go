@@ -59,6 +59,12 @@ func runE23(ctx context.Context, opts Options) (*Report, error) {
 			if err != nil {
 				return nil, err
 			}
+			// The grid never expects a refusal: a sender goroutine
+			// starved on a loaded box must not become one. The peer-down
+			// cells below measure refusals and keep the default.
+			for _, n := range rig.nodes {
+				n.CallTimeout = time.Second
+			}
 			if d == replication.Quorum {
 				rig.master.SetQuorumPolicy(replication.QuorumPolicy{Mode: replication.QuorumMajority})
 			}

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/failure"
 	"repro/internal/simnet"
 	"repro/internal/subscriber"
 )
@@ -185,7 +184,7 @@ func TestRunBatchStopOnErrorAborts(t *testing.T) {
 	// before the backbone drops.
 	done := make(chan struct{})
 	time.AfterFunc(20*time.Millisecond, func() {
-		failure.Glitch(ctx, net, []string{site}, 50*time.Millisecond)
+		net.Glitch(ctx, []string{site}, 50*time.Millisecond)
 		close(done)
 	})
 	res := system.RunBatch(ctx, profiles, 2*time.Millisecond, true)
@@ -211,7 +210,11 @@ func TestRunBatchContinueOnError(t *testing.T) {
 	for i := 70; i < 90; i++ {
 		profiles = append(profiles, gen.Profile(i))
 	}
-	done := failure.GlitchAsync(ctx, net, []string{site}, 30*time.Millisecond)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		net.Glitch(ctx, []string{site}, 30*time.Millisecond)
+	}()
 	res := system.RunBatch(ctx, profiles, 2*time.Millisecond, false)
 	<-done
 	if res.Aborted {

@@ -511,10 +511,13 @@ func (r *Replica) commitPipeline(rec *store.CommitRecord) (func() error, error) 
 	// ordered delivery is preserved even for sync modes (the
 	// synchronous wait below rides the same per-peer ordered queue).
 	for _, s := range r.senders {
-		s.enqueue(rec)
+		// Watch before enqueue: enqueue wakes the sender, which on a fast
+		// link can take the record's ack before a later-registered watch
+		// exists; the peer's next ack would then pop and mis-stamp it.
 		if traced && !s.standby {
 			s.addWatch(rec.CSN, rec.Trace, traceStart)
 		}
+		s.enqueue(rec)
 	}
 	r.Shipped.Inc()
 	var senders []*sender
@@ -1062,26 +1065,28 @@ func (s *sender) run() {
 		m := copy(s.queue, s.queue[len(batch):])
 		clear(s.queue[m:])
 		s.queue = s.queue[:m]
-		advanced := false
-		if last.CSN > s.acked {
-			s.acked = last.CSN
-			advanced = true
-		}
-		// Pop the watches this ack completes; their spans are recorded
-		// below, before noteAck wakes quorum waiters, so a counted
-		// peer's send span always ends before the ack-wait span does.
+		ackedCSN := max(s.acked, last.CSN)
+		// Pop the watches this ack completes. The ack instant is taken
+		// here, before s.acked is published: once it is, another
+		// sender's noteAck can count this peer and wake the commit's
+		// waiter, and the ack-wait span must not end before a counted
+		// peer's send span does.
 		var acked []sendWatch
+		var ackTime time.Time
 		if len(s.watches) > 0 {
 			i := 0
-			for i < len(s.watches) && s.watches[i].csn <= s.acked {
+			for i < len(s.watches) && s.watches[i].csn <= ackedCSN {
 				i++
 			}
 			if i > 0 {
+				ackTime = time.Now()
 				acked = append(acked, s.watches[:i]...)
 				n := copy(s.watches, s.watches[i:])
 				s.watches = s.watches[:n]
 			}
 		}
+		advanced := ackedCSN > s.acked
+		s.acked = ackedCSN
 		// Adapt the ceiling: a backlog deeper than what we just
 		// shipped means round trips are the bottleneck — grow; a
 		// batch well under the ceiling means traffic is light —
@@ -1095,10 +1100,6 @@ func (s *sender) run() {
 		s.mu.Unlock()
 		if len(acked) > 0 {
 			if tr := s.r.node.tracer.Load(); tr != nil {
-				// The ack instant is captured before noteAck broadcasts,
-				// so the commit's ack-wait span — which can only end
-				// after the broadcast — bounds every recorded send span.
-				ackTime := time.Now()
 				for _, w := range acked {
 					tr.RecordSpan(w.tc, "repl.send", string(s.r.node.addr),
 						w.start, ackTime.Sub(w.start), nil,

@@ -161,6 +161,9 @@ type StatusResp struct {
 	Replicas []ReplicaStatus
 }
 
+// walFlushInterval is the periodic-mode WAL flush cadence.
+const walFlushInterval = 50 * time.Millisecond
+
 // Config configures an Element.
 type Config struct {
 	// ID names the element (e.g. "se-eu-1").
@@ -178,12 +181,6 @@ type Config struct {
 	WALDir string
 	// WALMode selects periodic or sync-every-commit durability.
 	WALMode wal.Mode
-	// WALInterval is the periodic flush interval (default 50ms).
-	WALInterval time.Duration
-	// WALNoGroupCommit disables fsync coalescing in sync-every-commit
-	// mode: every commit pays its own fsync, serialized — the seed
-	// behavior E18 compares against. Leave false for group commit.
-	WALNoGroupCommit bool
 	// CheckpointInterval, when non-zero, runs an incremental WAL
 	// checkpoint on every replica on this cadence — the paper's §3.1
 	// "saves data in RAM to local persistent storage on a periodic
@@ -198,15 +195,6 @@ type Config struct {
 	// replicas; 0 disables the periodic tick (rounds then run only on
 	// RepairNow / heal triggers).
 	RepairInterval time.Duration
-	// RepairMaxRows caps row transfers per repair round per peer (the
-	// backbone bandwidth cap); 0 = unlimited.
-	RepairMaxRows int
-	// LegacyFindScan forces identity FindReq resolution through the
-	// legacy full-partition scan and disables identity-index
-	// maintenance on hosted stores. The scan cost is the reason the
-	// paper's provisioned location maps exist; E9 and E17 set this to
-	// keep measuring it against the indexed path.
-	LegacyFindScan bool
 }
 
 // TxnObserver observes every one-shot transaction the element serves.
@@ -287,9 +275,6 @@ type PartitionReplica struct {
 func New(net *simnet.Network, cfg Config) *Element {
 	if cfg.Blades == 0 {
 		cfg.Blades = 2
-	}
-	if cfg.WALInterval == 0 {
-		cfg.WALInterval = 50 * time.Millisecond
 	}
 	e := &Element{
 		cfg:       cfg,
@@ -409,27 +394,11 @@ func (e *Element) AddReplica(partition string, role store.Role) (*PartitionRepli
 	if dup {
 		return nil, fmt.Errorf("se %s: already hosts a replica of %q", e.cfg.ID, partition)
 	}
-	st := store.New(e.cfg.ID + "/" + partition)
-	st.SetRole(role)
-	if !e.cfg.LegacyFindScan {
-		st.SetIndexedAttrs(subscriber.IdentityAttrs...)
+	st, l, _, err := e.openStore(partition, role, nil)
+	if err != nil {
+		return nil, err
 	}
-	if role == store.Master && e.cfg.CapacityPerPartition > 0 {
-		st.SetCapacity(e.cfg.CapacityPerPartition)
-	}
-	e.wireInstallObserver(partition, st)
-	pr := &PartitionReplica{Partition: partition, Store: st}
-
-	if e.cfg.WALDir != "" {
-		l, err := wal.Open(e.cfg.WALDir+"/"+partition, e.cfg.WALMode)
-		if err != nil {
-			return nil, fmt.Errorf("se %s: %w", e.cfg.ID, err)
-		}
-		l.SetGroupCommit(!e.cfg.WALNoGroupCommit)
-		l.StartPeriodic(e.cfg.WALInterval)
-		pr.Log = l
-	}
-
+	pr := &PartitionReplica{Partition: partition, Store: st, Log: l}
 	pr.Repl = e.node.AddReplica(partition, st)
 	if pr.Log != nil {
 		st.SetCommitPipeline(e.commitPipeline(pr.Log, pr.Repl))
@@ -441,6 +410,38 @@ func (e *Element) AddReplica(partition string, role store.Role) (*PartitionRepli
 	e.replicas[partition] = pr
 	e.mu.Unlock()
 	return pr, nil
+}
+
+// openStore builds a hosted partition's store and, when the element
+// persists, its WAL, for AddReplica and Recover. A non-nil crashed
+// store marks recovery: its multi-master flag carries over and the new
+// store is first rebuilt from the WAL directory (snapshot + redo of the
+// synced tail); replayed counts the redone commit records.
+func (e *Element) openStore(partition string, role store.Role, crashed *store.Store) (st *store.Store, l *wal.Log, replayed int, err error) {
+	st = store.New(e.cfg.ID + "/" + partition)
+	st.SetRole(role)
+	if crashed != nil {
+		st.SetMultiMaster(crashed.MultiMaster())
+	}
+	st.SetIndexedAttrs(subscriber.IdentityAttrs...)
+	if role == store.Master && e.cfg.CapacityPerPartition > 0 {
+		st.SetCapacity(e.cfg.CapacityPerPartition)
+	}
+	e.wireInstallObserver(partition, st)
+	if e.cfg.WALDir == "" {
+		return st, nil, 0, nil
+	}
+	dir := e.cfg.WALDir + "/" + partition
+	if crashed != nil {
+		if _, replayed, err = wal.Recover(dir, st); err != nil {
+			return nil, nil, 0, fmt.Errorf("se %s: recover %s: %w", e.cfg.ID, partition, err)
+		}
+	}
+	if l, err = wal.Open(dir, e.cfg.WALMode); err != nil {
+		return nil, nil, 0, fmt.Errorf("se %s: %w", e.cfg.ID, err)
+	}
+	l.StartPeriodic(walFlushInterval)
+	return st, l, replayed, nil
 }
 
 // SetInstallObserver installs fn to observe every commit record any
@@ -632,9 +633,7 @@ func (e *Element) attachAntiEntropy(pr *PartitionReplica) {
 func (e *Element) attachAntiEntropyLocked(pr *PartitionReplica) {
 	pr.Tracker = antientropy.NewTracker(pr.Store)
 	e.ae.Register(pr.Partition, pr.Tracker, pr.Repl)
-	rep := antientropy.NewRepairer(e.net, e.addr, pr.Partition, pr.Tracker, pr.Repl)
-	rep.MaxRowsPerRound = e.cfg.RepairMaxRows
-	e.repairers[pr.Partition] = rep
+	e.repairers[pr.Partition] = antientropy.NewRepairer(e.net, e.addr, pr.Partition, pr.Tracker, pr.Repl)
 }
 
 // Repairer returns the anti-entropy repairer for a hosted partition,
@@ -777,29 +776,12 @@ func (e *Element) Recover() (map[string]int, error) {
 	}
 	replayed := make(map[string]int)
 	for part, pr := range e.replicas {
-		st := store.New(e.cfg.ID + "/" + part)
-		st.SetRole(pr.Store.Role())
-		st.SetMultiMaster(pr.Store.MultiMaster())
-		if !e.cfg.LegacyFindScan {
-			st.SetIndexedAttrs(subscriber.IdentityAttrs...)
+		st, l, n, err := e.openStore(part, pr.Store.Role(), pr.Store)
+		if err != nil {
+			return nil, err
 		}
-		if pr.Store.Role() == store.Master && e.cfg.CapacityPerPartition > 0 {
-			st.SetCapacity(e.cfg.CapacityPerPartition)
-		}
-		e.wireInstallObserver(part, st)
-		if e.cfg.WALDir != "" {
-			dir := e.cfg.WALDir + "/" + part
-			_, n, err := wal.Recover(dir, st)
-			if err != nil {
-				return nil, fmt.Errorf("se %s: recover %s: %w", e.cfg.ID, part, err)
-			}
+		if l != nil {
 			replayed[part] = n
-			l, err := wal.Open(dir, e.cfg.WALMode)
-			if err != nil {
-				return nil, err
-			}
-			l.SetGroupCommit(!e.cfg.WALNoGroupCommit)
-			l.StartPeriodic(e.cfg.WALInterval)
 			pr.Log = l
 		}
 		pr.Store = st
@@ -1017,10 +999,11 @@ func fillPostImages(resp *TxnResp, ops []TxnOp, rec *store.CommitRecord) {
 
 // find resolves an identity against hosted master replicas: the
 // expensive path behind cached-locator misses (§3.5). Each replica
-// answers from its secondary identity index in O(log n) per element;
-// with LegacyFindScan the original full scan runs instead — its cost
-// is the reason the paper's provisioned location maps exist, and E9
-// and E17 measure it.
+// answers from its secondary identity index in O(log n) per element.
+// A store that does not index the attribute is scanned in full — that
+// cost is the reason the paper's provisioned location maps exist, and
+// E9 and E17 measure it on stores whose index they switched off
+// (Store.SetIndexedAttrs with no attributes).
 func (e *Element) find(req FindReq) FindResp {
 	attr, value := req.Identity.Type.Attr(), req.Identity.Value
 	if attr == "" {
@@ -1038,7 +1021,7 @@ func (e *Element) find(req FindReq) FindResp {
 
 	var out FindResp
 	for _, pr := range prs {
-		if !e.cfg.LegacyFindScan && pr.Store.IndexesAttr(attr) {
+		if pr.Store.IndexesAttr(attr) {
 			// Indexed path: a miss is authoritative — no live row in
 			// this partition carries the value.
 			if key, ok := pr.Store.LookupByAttr(attr, value); ok {

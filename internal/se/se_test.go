@@ -189,12 +189,16 @@ func TestFind(t *testing.T) {
 func TestFindIndexedMatchesLegacyScan(t *testing.T) {
 	n := simnet.New(simnet.FastConfig())
 	idxEl := New(n, Config{ID: "se-idx", Site: "eu"})
-	scanEl := New(n, Config{ID: "se-scan", Site: "eu", LegacyFindScan: true})
+	scanEl := New(n, Config{ID: "se-scan", Site: "eu"})
 	t.Cleanup(idxEl.Stop)
 	t.Cleanup(scanEl.Stop)
 	for _, el := range []*Element{idxEl, scanEl} {
-		if _, err := el.AddReplica("p1", store.Master); err != nil {
+		pr, err := el.AddReplica("p1", store.Master)
+		if err != nil {
 			t.Fatal(err)
+		}
+		if el == scanEl {
+			pr.Store.SetIndexedAttrs() // no index: find falls back to the scan
 		}
 		call(t, n, el.Addr(), TxnReq{Partition: "p1", Ops: []TxnOp{
 			{Kind: TxnPut, Key: "sub-1", Entry: store.Entry{"imsi": {"214010000000001"}}},

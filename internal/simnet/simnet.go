@@ -285,6 +285,20 @@ func (n *Network) Heal() {
 	}
 }
 
+// Glitch partitions the listed sites away from the rest for d, then
+// heals — the "network glitch as short as 30 seconds" of §4.1. It
+// blocks for the duration and heals early when ctx ends.
+func (n *Network) Glitch(ctx context.Context, side []string, d time.Duration) {
+	n.Partition(side)
+	defer n.Heal()
+	t := time.NewTimer(d)
+	defer t.Stop()
+	select {
+	case <-t.C:
+	case <-ctx.Done():
+	}
+}
+
 // Partitioned reports whether two sites are currently separated.
 func (n *Network) Partitioned(a, b string) bool {
 	n.mu.RLock()

@@ -115,6 +115,70 @@ func TestPartitionGroups(t *testing.T) {
 	}
 }
 
+// Overlapping glitches: a second Partition regroups every site, so it
+// supersedes the first, and one Heal clears whatever is in effect.
+func TestPartitionSupersedesAndHealClears(t *testing.T) {
+	n := New(FastConfig())
+	for _, s := range []string{"a", "b", "c"} {
+		n.AddSite(s)
+	}
+	n.Partition([]string{"a"})
+	n.Partition([]string{"c"})
+	if !n.Partitioned("c", "b") {
+		t.Fatal("second partition not in effect")
+	}
+	if n.Partitioned("a", "b") {
+		t.Fatal("second partition should supersede the first")
+	}
+	n.Heal()
+	for _, pair := range [][2]string{{"a", "b"}, {"b", "c"}, {"a", "c"}} {
+		if n.Partitioned(pair[0], pair[1]) {
+			t.Fatalf("sites %v still partitioned after heal", pair)
+		}
+	}
+}
+
+// The partition in effect during a glitch is observed by
+// TestGlitchCancelledHealsEarly, which can wait for it without racing
+// the heal; this one holds the duration and the heal.
+func TestGlitchPartitionsAndHeals(t *testing.T) {
+	n := newTestNet()
+	const d = 30 * time.Millisecond
+	start := time.Now()
+	n.Glitch(context.Background(), []string{"eu"}, d)
+	if time.Since(start) < d {
+		t.Fatal("glitch returned early")
+	}
+	if n.Partitioned("eu", "us") {
+		t.Fatal("glitch did not heal")
+	}
+}
+
+func TestGlitchCancelledHealsEarly(t *testing.T) {
+	n := newTestNet()
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		n.Glitch(ctx, []string{"eu"}, 10*time.Second)
+	}()
+	for deadline := time.Now().Add(2 * time.Second); !n.Partitioned("eu", "us"); {
+		if time.Now().After(deadline) {
+			t.Fatal("glitch never partitioned")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	cancel()
+	select {
+	case <-done:
+	case <-time.After(2 * time.Second):
+		t.Fatal("cancelled glitch did not end")
+	}
+	if n.Partitioned("eu", "us") {
+		t.Fatal("cancelled glitch left the partition")
+	}
+}
+
 func TestBackboneSlowerThanLocal(t *testing.T) {
 	cfg := Config{
 		Local:    Link{Latency: 0},

@@ -288,8 +288,8 @@ func shardIndex(key string) uint32 {
 // never evict another row's mapping.
 type identityIndex struct {
 	// on is the lock-free fast path: stores with no indexed attrs
-	// (LegacyFindScan elements) must not pay a global lock per
-	// install just to discover the index is disabled.
+	// (bare stores, the E9/E17 scan baselines) must not pay a global
+	// lock per install just to discover the index is disabled.
 	on    atomic.Bool
 	mu    sync.RWMutex
 	attrs []string

@@ -527,3 +527,59 @@ func TestForEachEarlyStop(t *testing.T) {
 		t.Fatalf("visited %d", count)
 	}
 }
+
+// Allocation gates for the two hot primitives every request crosses:
+// a committed read shares the immutable row version, and a slave's
+// ordered apply installs the record's post-image as is.
+
+func TestGetCommittedAllocs(t *testing.T) {
+	s := New("r1")
+	s.SetIndexedAttrs("imsi")
+	const n = 1024
+	keys := make([]string, n)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("sub-%d", i)
+		txn := s.Begin(ReadCommitted)
+		txn.Put(keys[i], entry("v", "1", "imsi", fmt.Sprintf("21401%09d", i)))
+		if _, err := txn.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	i := 0
+	got := testing.AllocsPerRun(4*n, func() {
+		if _, _, ok := s.GetCommitted(keys[i%n]); !ok {
+			t.Fatal("missing row")
+		}
+		i++
+	})
+	if got != 0 {
+		t.Errorf("GetCommitted = %.0f allocs/op, want 0", got)
+	}
+}
+
+func TestApplyReplicatedAllocs(t *testing.T) {
+	master, slave := New("m"), New("s")
+	slave.SetRole(Slave)
+	const n = 2048
+	recs := make([]*CommitRecord, n+1) // +1: AllocsPerRun's warm-up call
+	for i := range recs {
+		txn := master.Begin(ReadCommitted)
+		txn.Put(fmt.Sprintf("k-%d", i), entry("v", "1"))
+		rec, err := txn.Commit()
+		if err != nil {
+			t.Fatal(err)
+		}
+		recs[i] = rec
+	}
+	i := 0
+	got := testing.AllocsPerRun(n, func() {
+		if err := slave.ApplyReplicated(recs[i]); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	})
+	if got > 1 || slave.AppliedCSN() != uint64(len(recs)) {
+		t.Errorf("slave ApplyReplicated = %.0f allocs/op (applied through %d of %d), want ≤ 1",
+			got, slave.AppliedCSN(), len(recs))
+	}
+}
