@@ -346,8 +346,8 @@ func (t *Map[V]) ascendRange(n *node[V], from, to string, useFrom, useTo bool, f
 	return true
 }
 
-// Height returns the tree height (0 for an empty tree), exposed so the
-// E8 experiment can report the O(log N) growth directly.
+// Height returns the tree height (0 for an empty tree), so tests can
+// check the tree stays O(log N) deep.
 func (t *Map[V]) Height() int {
 	h := 0
 	for n := t.root; n != nil; {

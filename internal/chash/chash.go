@@ -100,8 +100,8 @@ func (r *Ring) Members() []string {
 
 // Locate returns the member owning key, or "" if the ring is empty.
 // Cost is O(log V) in the number of virtual nodes — constant in the
-// number of keys, which is the property E8 contrasts with the
-// O(log N)-in-subscribers location maps.
+// number of keys, the property the paper credits hashing with and E8
+// shows the location maps match.
 func (r *Ring) Locate(key string) string {
 	r.mu.RLock()
 	defer r.mu.RUnlock()

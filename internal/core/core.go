@@ -897,8 +897,9 @@ func (u *UDR) SeedDirect(p *subscriber.Profile) error {
 	}
 	placement := locator.Placement{SubscriberID: p.ID, Partition: partID}
 	if u.cfg.LocatorMode == locator.Provisioned {
+		ids := p.Identities()
 		for _, st := range stages {
-			st.PutProfile(p.Identities(), placement)
+			st.PutProfile(ids, placement)
 		}
 	}
 	return nil

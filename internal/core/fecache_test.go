@@ -90,7 +90,7 @@ func TestCacheLearnsAliasOnSecondIdentity(t *testing.T) {
 	}
 }
 
-// Allocation gates (ROADMAP item 1: CI gates hard on allocs/op).
+// Allocation gates: CI fails when allocs/op rise above these bounds.
 
 // TestPoAReadMissAllocs bounds a cacheable identity-addressed read
 // that misses the FE cache — probe, locate, SE round trip, fill with

@@ -10,18 +10,20 @@ import (
 )
 
 func init() {
-	register("E8", "Location stage: O(log N) state-full maps vs O(1) consistent hashing",
+	register("E8", "Location stage: state-full maps vs consistent hashing — placement, not lookup cost",
 		"§3.3.1, §3.5", runE8)
 }
 
-// runE8 reproduces the §3.5 discussion of the data location stage:
-// state-full identity-location maps cost O(log N) per lookup but
-// support multiple indexes and selective placement; consistent
-// hashing is O(1) but "might render this approach impractical"
-// because placement is hash-dictated and every identity indexes
-// independently.
+// runE8 reproduces the §3.5 discussion of the data location stage. The
+// paper keeps state-full identity-location maps although consistent
+// hashing "grows as O(1)", because the UDR must support multiple
+// indexes and selective placement: a hash dictates placement and
+// indexes every identity independently. The maps here are compact
+// hash tables, so lookup cost no longer separates the two designs;
+// E8 shows the per-identity cost stays bounded as the base grows and
+// that placement is what hashing gives up.
 func runE8(ctx context.Context, opts Options) (*Report, error) {
-	rep := NewReport("E8", "Location stage: O(log N) state-full maps vs O(1) consistent hashing")
+	rep := NewReport("E8", "Location stage: state-full maps vs consistent hashing — placement, not lookup cost")
 
 	populations := []int{1_000, 10_000, 100_000}
 	if opts.Quick {
@@ -30,9 +32,9 @@ func runE8(ctx context.Context, opts Options) (*Report, error) {
 	const lookups = 20_000
 	partitions := []string{"p-0", "p-1", "p-2", "p-3"}
 
-	rep.AddRow("subscribers", "map lookup", "map height", "hash lookup")
-	var mapTimes, hashTimes []time.Duration
-	var heights []int
+	rep.AddRow("subscribers", "map lookup", "map B/identity", "map probes/hit", "hash lookup")
+	var mapTimes []time.Duration
+	var maxBytes, maxProbes float64
 	for _, n := range populations {
 		stage := locator.NewStage("x", locator.Provisioned, true)
 		hash := locator.NewHashLocator(partitions)
@@ -69,24 +71,26 @@ func runE8(ctx context.Context, opts Options) (*Report, error) {
 		mt := measure(stage)
 		ht := measure(hash)
 		mapTimes = append(mapTimes, mt)
-		hashTimes = append(hashTimes, ht)
-		heights = append(heights, stage.Height())
-		rep.AddRow(fmt.Sprint(n), mt.String(), fmt.Sprint(stage.Height()), ht.String())
+		st := stage.MapStats()
+		perID := float64(st.Bytes) / float64(st.Entries)
+		maxBytes, maxProbes = max(maxBytes, perID), max(maxProbes, st.MeanProbes)
+		rep.AddRow(fmt.Sprint(n), mt.String(), fmt.Sprintf("%.1f", perID),
+			fmt.Sprintf("%.2f", st.MeanProbes), ht.String())
 	}
 
-	// Shape checks. The O(log N) growth is asserted on the tree
-	// height (deterministic); the wall-clock rows illustrate it but
-	// single-nanosecond deltas are below timer noise on shared
-	// hardware, so the timing checks only bound magnitudes.
-	last := len(populations) - 1
-	rep.Check("map lookup work grows with N (tree height, O(log N))",
-		heights[last] > heights[0])
+	// The bounds follow from the layout, not from a measurement: a
+	// 16-byte slot at a load factor of at least 3/8 (≤ 43 B) plus a
+	// 20-byte subscriber handle, and linear probing at a load factor of
+	// at most 3/4 (≤ 2.5 probes per hit expected). The fixed hash makes
+	// both figures exact for a given population, so the check is
+	// deterministic; the wall-clock rows only illustrate.
+	rep.Check("map state per identity stays bounded as N grows (≤ 80 B and ≤ 2.5 probes per hit)",
+		maxBytes <= 80 && maxProbes <= 2.5)
 	// "Negligible" is relative to the 10ms query budget (§2.3 req 4);
 	// 10µs leaves three orders of magnitude of headroom.
+	last := len(populations) - 1
 	rep.Check("map lookup negligible vs the 10ms budget (the paper's 'can be neglected')",
 		mapTimes[last] < 10*time.Microsecond)
-	rep.Check("hash lookup cost flat within noise (O(1))",
-		hashTimes[last] < hashTimes[0]*3+10*time.Microsecond)
 
 	// Functional contrast (the reason the paper keeps the maps).
 	stage := locator.NewStage("x", locator.Provisioned, true)
@@ -110,5 +114,6 @@ func runE8(ctx context.Context, opts Options) (*Report, error) {
 	rep.AddRow("hash identity split", fmt.Sprintf("%d/%d subscriptions' identities land on different partitions", split, sample))
 	rep.Check("hashing scatters a subscription's identities", split > sample/2)
 	rep.Note("paper: the location stage 'has not been realized by means of hashing, which grows as O(1) ... since the UDR must support multiple indexes ... and selective placement'")
+	rep.Note("the paper's maps grow as O(log N); these are open-addressing tables with O(1) expected lookups, so only the placement argument separates them from hashing")
 	return rep, nil
 }

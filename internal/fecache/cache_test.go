@@ -459,7 +459,7 @@ func TestAliasHammer(t *testing.T) {
 	}
 }
 
-// Allocation gates (ROADMAP item 1: CI gates hard on allocs/op).
+// Allocation gates: CI fails when allocs/op rise above these bounds.
 
 func TestLookupHitAllocs(t *testing.T) {
 	c := boot(64)

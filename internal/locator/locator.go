@@ -6,9 +6,10 @@
 //
 // The paper's design uses state-full identity-location maps rather
 // than hashing because the UDR must support multiple indexes (one per
-// identity type) and selective placement of subscriber data. The maps
-// are ordered indexes, so lookup cost grows as O(log N) with the
-// subscriber count. Two management variants exist (§3.5):
+// identity type) and selective placement of subscriber data. Each map
+// is a compact identity table (internal/idtable), so lookup cost does
+// not grow with the subscriber count and the case against hashing
+// rests on placement alone. Two management variants exist (§3.5):
 //
 //   - Provisioned: the provisioning flow writes the maps; a new stage
 //     must copy every entry from a peer before serving (availability
@@ -22,14 +23,19 @@
 package locator
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
+	"math"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
-	"repro/internal/btree"
 	"repro/internal/chash"
+	"repro/internal/idtable"
 	"repro/internal/metrics"
 	"repro/internal/simnet"
 	"repro/internal/subscriber"
@@ -101,27 +107,37 @@ type MissResolver func(ctx context.Context, id subscriber.Identity) (Placement, 
 
 // MapEntry is one identity mapping, the unit of stage-to-stage sync.
 type MapEntry struct {
-	IdentityKey string
-	Placement   Placement
+	Identity  subscriber.Identity
+	Placement Placement
 }
 
 // SyncReq asks a peer stage for its full identity-location map.
 type SyncReq struct{}
 
-// SyncResp carries the map; Entries arrive sorted by identity key.
+// SyncResp carries the map; Entries arrive sorted by identity.
 type SyncResp struct {
 	Entries []MapEntry
 }
 
 // Stage is one data location stage instance: the state-full
 // identity-location map of the paper. It is safe for concurrent use.
+//
+// The map is an idtable.Table from identity to a subscriber handle and
+// a partition index. subs resolves handles to subscriber IDs, refs
+// counts the identities mapped to each handle so a handle is recycled
+// once none remain, and parts interns partition names.
 type Stage struct {
 	site string
 	mode Mode
 
-	mu    sync.RWMutex
-	byID  *btree.Map[Placement]
-	ready bool
+	mu     sync.RWMutex
+	ids    idtable.Table
+	subs   []string
+	refs   []uint32
+	free   []uint32
+	parts  []string
+	partIx map[string]uint16
+	ready  bool
 
 	missResolver MissResolver
 
@@ -145,10 +161,10 @@ func (s *Stage) SetTracer(tr *trace.Recorder) { s.tracer.Store(tr) }
 // primed empty; later stages must sync).
 func NewStage(site string, mode Mode, primed bool) *Stage {
 	return &Stage{
-		site:  site,
-		mode:  mode,
-		byID:  btree.New[Placement](),
-		ready: primed || mode == Cached,
+		site:   site,
+		mode:   mode,
+		partIx: make(map[string]uint16),
+		ready:  primed || mode == Cached,
 	}
 }
 
@@ -183,15 +199,19 @@ func (s *Stage) SetReady(ready bool) {
 func (s *Stage) Len() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return s.byID.Len()
+	return s.ids.Len()
 }
 
-// Height exposes the underlying tree height, the O(log N) factor E8
-// reports.
-func (s *Stage) Height() int {
+// MapStats sizes the identity map. Bytes adds the handle and partition
+// tables to the table's slots and key arena; the subscriber-ID and
+// partition-name strings are shared with the callers and not counted.
+func (s *Stage) MapStats() idtable.Stats {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return s.byID.Height()
+	st := s.ids.Stats()
+	str := int(unsafe.Sizeof(""))
+	st.Bytes += str*(cap(s.subs)+cap(s.parts)) + 4*(cap(s.refs)+cap(s.free))
+	return st
 }
 
 // Lookup implements Locator.
@@ -224,7 +244,10 @@ func (s *Stage) lookup(ctx context.Context, id subscriber.Identity) (p Placement
 		s.mu.RUnlock()
 		return Placement{}, false, 0, ErrNotReady
 	}
-	p, ok := s.byID.Get(id.String())
+	r, ok := s.ids.Get(uint8(id.Type), id.Value)
+	if ok {
+		p = s.placement(r)
+	}
 	resolver := s.missResolver
 	s.mu.RUnlock()
 
@@ -240,7 +263,7 @@ func (s *Stage) lookup(ctx context.Context, id subscriber.Identity) (p Placement
 			return Placement{}, false, queried, err
 		}
 		s.mu.Lock()
-		s.byID.Set(id.String(), p)
+		s.putProfile([]subscriber.Identity{id}, p)
 		s.mu.Unlock()
 		return p, false, queried, nil
 	}
@@ -251,9 +274,81 @@ func (s *Stage) lookup(ctx context.Context, id subscriber.Identity) (p Placement
 func (s *Stage) PutProfile(ids []subscriber.Identity, p Placement) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for _, id := range ids {
-		s.byID.Set(id.String(), p)
+	s.putProfile(ids, p)
+}
+
+// putProfile maps ids to p. When one of them already maps to the same
+// subscriber, the others share its handle.
+func (s *Stage) putProfile(ids []subscriber.Identity, p Placement) {
+	if len(ids) == 0 {
+		return
 	}
+	h, found := uint32(0), false
+	for _, id := range ids {
+		if r, ok := s.ids.Get(uint8(id.Type), id.Value); ok && s.subs[r.Sub] == p.SubscriberID {
+			h, found = r.Sub, true
+			break
+		}
+	}
+	if !found {
+		h = s.newHandle(p.SubscriberID)
+	}
+	part := s.partIndex(p.Partition)
+	for _, id := range ids {
+		s.put(id, h, part)
+	}
+}
+
+// put maps one identity to handle h in partition part, releasing the
+// handle it mapped to before.
+func (s *Stage) put(id subscriber.Identity, h uint32, part uint16) {
+	s.refs[h]++
+	if old, ok := s.ids.Put(uint8(id.Type), id.Value, idtable.Ref{Sub: h, Part: part}); ok {
+		s.release(old.Sub)
+	}
+}
+
+// newHandle returns a recycled or fresh handle naming sub. Its count
+// is zero until the caller maps an identity to it.
+func (s *Stage) newHandle(sub string) uint32 {
+	if n := len(s.free); n > 0 {
+		h := s.free[n-1]
+		s.free = s.free[:n-1]
+		s.subs[h] = sub
+		return h
+	}
+	s.subs = append(s.subs, sub)
+	s.refs = append(s.refs, 0)
+	return uint32(len(s.subs) - 1)
+}
+
+// release drops one identity's reference to handle h and recycles the
+// handle when none remain.
+func (s *Stage) release(h uint32) {
+	s.refs[h]--
+	if s.refs[h] == 0 {
+		s.subs[h] = ""
+		s.free = append(s.free, h)
+	}
+}
+
+// partIndex interns a partition name. Names are never dropped: a
+// deployment has at most a few hundred partitions.
+func (s *Stage) partIndex(name string) uint16 {
+	if i, ok := s.partIx[name]; ok {
+		return i
+	}
+	if len(s.parts) > math.MaxUint16 {
+		panic("locator: more than 65536 partition names")
+	}
+	i := uint16(len(s.parts))
+	s.parts = append(s.parts, name)
+	s.partIx[name] = i
+	return i
+}
+
+func (s *Stage) placement(r idtable.Ref) Placement {
+	return Placement{SubscriberID: s.subs[r.Sub], Partition: s.parts[r.Part]}
 }
 
 // RemoveProfile implements Locator.
@@ -261,7 +356,9 @@ func (s *Stage) RemoveProfile(ids []subscriber.Identity) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for _, id := range ids {
-		s.byID.Delete(id.String())
+		if old, ok := s.ids.Delete(uint8(id.Type), id.Value); ok {
+			s.release(old.Sub)
+		}
 	}
 }
 
@@ -272,41 +369,58 @@ func (s *Stage) RemoveProfile(ids []subscriber.Identity) {
 func (s *Stage) InvalidatePartition(partition string) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var stale []string
-	s.byID.Ascend(func(k string, p Placement) bool {
-		if p.Partition == partition {
-			stale = append(stale, k)
+	part, ok := s.partIx[partition]
+	if !ok {
+		return 0
+	}
+	return s.ids.DeleteFunc(func(r idtable.Ref) bool {
+		if r.Part != part {
+			return false
 		}
+		s.release(r.Sub)
 		return true
 	})
-	for _, k := range stale {
-		s.byID.Delete(k)
-	}
-	return len(stale)
 }
 
 // SupportsSelectivePlacement implements Locator: state-full maps can
 // pin any subscription anywhere.
 func (s *Stage) SupportsSelectivePlacement() bool { return true }
 
-// Dump returns every mapping in identity-key order (sync serving).
+// Dump returns every mapping ordered by identity type, then value
+// (sync serving).
 func (s *Stage) Dump() []MapEntry {
 	s.mu.RLock()
-	defer s.mu.RUnlock()
-	out := make([]MapEntry, 0, s.byID.Len())
-	s.byID.Ascend(func(k string, p Placement) bool {
-		out = append(out, MapEntry{IdentityKey: k, Placement: p})
-		return true
+	out := make([]MapEntry, 0, s.ids.Len())
+	s.ids.Range(func(typ uint8, value string, r idtable.Ref) {
+		out = append(out, MapEntry{
+			Identity:  subscriber.Identity{Type: subscriber.IdentityType(typ), Value: value},
+			Placement: s.placement(r),
+		})
+	})
+	s.mu.RUnlock()
+	slices.SortFunc(out, func(a, b MapEntry) int {
+		return cmp.Or(cmp.Compare(a.Identity.Type, b.Identity.Type),
+			strings.Compare(a.Identity.Value, b.Identity.Value))
 	})
 	return out
 }
 
-// Load bulk-installs mappings (sync receiving).
+// Load bulk-installs mappings (sync receiving). Entries naming the
+// same subscriber share one handle.
 func (s *Stage) Load(entries []MapEntry) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	handles := make(map[string]uint32)
 	for _, e := range entries {
-		s.byID.Set(e.IdentityKey, e.Placement)
+		sub := e.Placement.SubscriberID
+		// A later entry for the same identity may have released the
+		// remembered handle, and a recycled one may name someone else.
+		h, ok := handles[sub]
+		if !ok || s.refs[h] == 0 || s.subs[h] != sub {
+			h = s.newHandle(sub)
+			handles[sub] = h
+		}
+		s.put(e.Identity, h, s.partIndex(e.Placement.Partition))
 	}
 }
 
