@@ -3,6 +3,7 @@ package main
 import (
 	"context"
 	"net"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -377,7 +378,13 @@ func TestRepairEndToEnd(t *testing.T) {
 	part, _ := u.Partition(partID)
 	masterStore := u.Element(part.Master().Element).Replica(partID).Store
 	slaveStore := u.Element(part.Replicas[1].Element).Replica(partID).Store
-	key := masterStore.Keys()[0]
+	var keys []string
+	masterStore.ForEach(func(k string, _ store.Entry, _ store.Meta) bool {
+		keys = append(keys, k)
+		return true
+	})
+	slices.Sort(keys)
+	key := keys[0]
 	wantEntry, _, _ := masterStore.GetCommitted(key)
 	slaveStore.SetAppliedCSN(1 << 40)
 	slaveStore.PutDirect(key, store.Entry{"v": {"stale"}}, store.Meta{CSN: 1, WallTS: 1})

@@ -340,6 +340,9 @@ func (u *UDR) buildSiteLocked(spec SiteSpec, primed bool) error {
 			CheckpointInterval:   u.cfg.CheckpointInterval,
 			AntiEntropy:          u.cfg.AntiEntropy,
 			RepairInterval:       u.cfg.RepairInterval,
+			// Only cached location maps send FindReq, the index's
+			// one reader.
+			IdentityIndex: u.cfg.LocatorMode == locator.Cached,
 		}
 		if u.cfg.WALDir != "" {
 			cfg.WALDir = u.cfg.WALDir + "/" + cfg.ID

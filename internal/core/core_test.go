@@ -680,6 +680,78 @@ func TestCachedLocatorMissFanOut(t *testing.T) {
 	}
 }
 
+// TestCachedModeIndexFollowsMaster: only cached location maps send
+// FindReq, so only a Cached-mode UDR builds elements that index
+// identities, and there every replica indexes. A read by MSISDN at a
+// site whose stage has not seen the identity misses and fans out;
+// after a failover and again after a migration, the partition's new
+// master answers it from its own index, with no rebuild.
+func TestCachedModeIndexFollowsMaster(t *testing.T) {
+	net, u, partID, target, profiles := migrationUDR(t, 12, func(c *Config) { c.LocatorMode = locator.Cached })
+	ctx := ctxT(t)
+	if err := u.WaitReplication(ctx); err != nil {
+		t.Fatal(err)
+	}
+	for _, elID := range u.Elements() {
+		el := u.Element(elID)
+		for _, p := range el.Partitions() {
+			if !el.Replica(p).Store.IndexesAttr(subscriber.AttrMSISDN) {
+				t.Fatalf("%s/%s: Cached-mode replica does not index identities", elID, p)
+			}
+		}
+	}
+
+	// Provisioning primed only the eu-south stage: eu-north misses.
+	stage := u.Stage("eu-north")
+	fe := NewSession(net, simnet.MakeAddr("eu-north", "fe"), "eu-north", PolicyFE)
+	readViaIndex := func(step string, p *subscriber.Profile) {
+		t.Helper()
+		misses := stage.Misses.Value()
+		got, _, _, err := fe.ReadProfile(ctx, subscriber.Identity{Type: subscriber.MSISDN, Value: p.MSISDNVal})
+		if err != nil {
+			t.Fatalf("%s: read by MSISDN: %v", step, err)
+		}
+		if got.ID != p.ID || stage.Misses.Value() != misses+1 {
+			t.Fatalf("%s: got %s, misses %d → %d; want %s through one FindReq fan-out",
+				step, got.ID, misses, stage.Misses.Value(), p.ID)
+		}
+		part, _ := u.Partition(partID)
+		master := u.Element(part.Master().Element).Replica(partID).Store
+		if key, ok := master.LookupByAttr(subscriber.AttrMSISDN, p.MSISDNVal); !ok || key != p.ID {
+			t.Fatalf("%s: new master %s index: %q %v", step, part.Master().Element, key, ok)
+		}
+	}
+
+	before, _ := u.Partition(partID)
+	u.Element(before.Master().Element).Crash()
+	if _, err := u.Failover(partID); err != nil {
+		t.Fatal(err)
+	}
+	readViaIndex("failover", profiles[0])
+
+	if _, err := u.MigratePartition(ctx, partID, target, false); err != nil {
+		t.Fatalf("migrate: %v", err)
+	}
+	if after, _ := u.Partition(partID); after.Master().Element != target {
+		t.Fatalf("master = %s, want %s", after.Master().Element, target)
+	}
+	readViaIndex("migration", profiles[1])
+}
+
+// TestProvisionedModeIndexesNothing: with provisioned location maps
+// nothing sends FindReq, so no replica store keeps an identity index.
+func TestProvisionedModeIndexesNothing(t *testing.T) {
+	_, u, _ := testUDR(t, 3)
+	for _, elID := range u.Elements() {
+		el := u.Element(elID)
+		for _, p := range el.Partitions() {
+			if attrs := el.Replica(p).Store.IndexedAttrs(); len(attrs) != 0 {
+				t.Fatalf("%s/%s indexes %v", elID, p, attrs)
+			}
+		}
+	}
+}
+
 func TestDurabilityDualSeq(t *testing.T) {
 	net, u, profiles := testUDR(t, 3, func(c *Config) { c.Durability = replication.DualSeq })
 	ctx := ctxT(t)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"maps"
 	"sort"
 
 	"repro/internal/fecache"
@@ -503,13 +504,7 @@ func (u *UDR) registerCollectors(reg *metrics.Registry) {
 	reg.Counter("udr_locator_lookups_total",
 		"Identity lookups against a site's data location stage by result.",
 		"site", "result").Collect(func(emit metrics.Emit) {
-		u.mu.RLock()
-		stages := make(map[string]*locator.Stage, len(u.stages))
-		for site, st := range u.stages {
-			stages[site] = st
-		}
-		u.mu.RUnlock()
-		for site, st := range stages {
+		for site, st := range u.stageSnapshot() {
 			emit(float64(st.Hits.Value()), site, "hit")
 			emit(float64(st.Misses.Value()), site, "miss")
 		}
@@ -517,14 +512,24 @@ func (u *UDR) registerCollectors(reg *metrics.Registry) {
 	reg.Counter("udr_locator_fanout_queries_total",
 		"Storage-element queries issued by cached-locator miss resolution.",
 		"site").Collect(func(emit metrics.Emit) {
-		u.mu.RLock()
-		stages := make(map[string]*locator.Stage, len(u.stages))
-		for site, st := range u.stages {
-			stages[site] = st
-		}
-		u.mu.RUnlock()
-		for site, st := range stages {
+		for site, st := range u.stageSnapshot() {
 			emit(float64(st.FanOutQueries.Value()), site)
+		}
+	})
+	// The identity map's size is the per-site cost of state-full
+	// location maps (§3.4).
+	reg.Gauge("udr_locator_map_entries",
+		"Identity mappings held by a site's data location stage.",
+		"site").Collect(func(emit metrics.Emit) {
+		for site, st := range u.stageSnapshot() {
+			emit(float64(st.Len()), site)
+		}
+	})
+	reg.Gauge("udr_locator_map_bytes",
+		"Heap bytes held by a site's identity map: table slots, key arena and handle tables.",
+		"site").Collect(func(emit metrics.Emit) {
+		for site, st := range u.stageSnapshot() {
+			emit(float64(st.MapStats().Bytes), site)
 		}
 	})
 
@@ -543,4 +548,12 @@ func (u *UDR) registerCollectors(reg *metrics.Registry) {
 		"Buffered spans overwritten before being read.").Collect(func(emit metrics.Emit) {
 		emit(float64(u.cfg.Trace.Stats().Dropped))
 	})
+}
+
+// stageSnapshot copies the site → location stage map so collectors
+// read the stages without holding u.mu.
+func (u *UDR) stageSnapshot() map[string]*locator.Stage {
+	u.mu.RLock()
+	defer u.mu.RUnlock()
+	return maps.Clone(u.stages)
 }

@@ -117,8 +117,9 @@ func runE17(ctx context.Context, opts Options) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	// No indexed attributes = no index: FindReq falls back to the scan.
-	prScan.Store.SetIndexedAttrs()
+	// Elements index nothing unless asked: the indexed one opts in, the
+	// other answers FindReq with the full scan.
+	prIdx.Store.SetIndexedAttrs(subscriber.IdentityAttrs...)
 	gen := subscriber.NewGenerator("eu")
 	profiles := make([]*subscriber.Profile, findRows)
 	for i := range profiles {

@@ -23,13 +23,10 @@
 package locator
 
 import (
-	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"math"
-	"slices"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"unsafe"
@@ -386,8 +383,8 @@ func (s *Stage) InvalidatePartition(partition string) int {
 // pin any subscription anywhere.
 func (s *Stage) SupportsSelectivePlacement() bool { return true }
 
-// Dump returns every mapping ordered by identity type, then value
-// (sync serving).
+// Dump returns every mapping in table order (sync serving). Load
+// accepts any order, so the dump is not sorted.
 func (s *Stage) Dump() []MapEntry {
 	s.mu.RLock()
 	out := make([]MapEntry, 0, s.ids.Len())
@@ -398,10 +395,6 @@ func (s *Stage) Dump() []MapEntry {
 		})
 	})
 	s.mu.RUnlock()
-	slices.SortFunc(out, func(a, b MapEntry) int {
-		return cmp.Or(cmp.Compare(a.Identity.Type, b.Identity.Type),
-			strings.Compare(a.Identity.Value, b.Identity.Value))
-	})
 	return out
 }
 

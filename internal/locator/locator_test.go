@@ -234,12 +234,13 @@ func TestHashLocatorSubIDFixup(t *testing.T) {
 	}
 }
 
-func TestDumpSorted(t *testing.T) {
+func TestDumpCoversEveryMapping(t *testing.T) {
 	s := NewStage("eu", Provisioned, true)
 	s.PutProfile([]subscriber.Identity{id(subscriber.MSISDN, "2")}, Placement{SubscriberID: "b", Partition: "p"})
 	s.PutProfile([]subscriber.Identity{id(subscriber.IMSI, "1")}, Placement{SubscriberID: "a", Partition: "p"})
-	d := s.Dump()
-	if len(d) != 2 || d[0].Identity.Type != subscriber.IMSI || d[1].Identity.Type != subscriber.MSISDN {
+	d := sortEntries(s.Dump())
+	if len(d) != 2 || d[0].Identity != id(subscriber.IMSI, "1") || d[0].Placement.SubscriberID != "a" ||
+		d[1].Identity != id(subscriber.MSISDN, "2") || d[1].Placement.SubscriberID != "b" {
 		t.Fatalf("dump = %v", d)
 	}
 }

@@ -116,6 +116,8 @@ func TestMetricsEndpoint(t *testing.T) {
 		`udr_se_reads_total{site="`,
 		`udr_replication_queue_depth{site="`,
 		`udr_placement_epoch{partition="p-eu-south-0"}`,
+		`udr_locator_map_entries{site="eu-south"}`,
+		`udr_locator_map_bytes{site="eu-south"}`,
 	} {
 		if !strings.Contains(body, frag) {
 			t.Errorf("missing sample fragment %q in:\n%s", frag, body)

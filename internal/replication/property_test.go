@@ -103,7 +103,12 @@ func storesEqual(a, b *store.Store) bool {
 	if a.Len() != b.Len() {
 		return false
 	}
-	for _, k := range a.Keys() {
+	var keys []string
+	a.ForEach(func(k string, _ store.Entry, _ store.Meta) bool {
+		keys = append(keys, k)
+		return true
+	})
+	for _, k := range keys {
 		ae, _, _ := a.GetCommitted(k)
 		be, _, ok := b.GetCommitted(k)
 		if !ok || !ae.Equal(be) {

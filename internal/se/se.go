@@ -195,6 +195,12 @@ type Config struct {
 	// replicas; 0 disables the periodic tick (rounds then run only on
 	// RepairNow / heal triggers).
 	RepairInterval time.Duration
+	// IdentityIndex makes every hosted replica, master or slave, keep
+	// the secondary identity index that FindReq resolves through, so a
+	// promoted slave or a migrated-in replica answers at once. The UDR
+	// sets it only for cached location maps, the one mode that sends
+	// FindReq; without it find scans the partition in full.
+	IdentityIndex bool
 }
 
 // TxnObserver observes every one-shot transaction the element serves.
@@ -423,7 +429,9 @@ func (e *Element) openStore(partition string, role store.Role, crashed *store.St
 	if crashed != nil {
 		st.SetMultiMaster(crashed.MultiMaster())
 	}
-	st.SetIndexedAttrs(subscriber.IdentityAttrs...)
+	if e.cfg.IdentityIndex {
+		st.SetIndexedAttrs(subscriber.IdentityAttrs...)
+	}
 	if role == store.Master && e.cfg.CapacityPerPartition > 0 {
 		st.SetCapacity(e.cfg.CapacityPerPartition)
 	}
@@ -998,12 +1006,12 @@ func fillPostImages(resp *TxnResp, ops []TxnOp, rec *store.CommitRecord) {
 }
 
 // find resolves an identity against hosted master replicas: the
-// expensive path behind cached-locator misses (§3.5). Each replica
-// answers from its secondary identity index in O(log n) per element.
-// A store that does not index the attribute is scanned in full — that
-// cost is the reason the paper's provisioned location maps exist, and
-// E9 and E17 measure it on stores whose index they switched off
-// (Store.SetIndexedAttrs with no attributes).
+// expensive path behind cached-locator misses (§3.5). An element built
+// with Config.IdentityIndex answers each replica from its secondary
+// identity index with one map lookup. A store that does not index the
+// attribute is scanned in full — that cost is the reason the paper's
+// provisioned location maps exist, and E9 and E17 measure it on stores
+// without the index.
 func (e *Element) find(req FindReq) FindResp {
 	attr, value := req.Identity.Type.Attr(), req.Identity.Value
 	if attr == "" {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -188,7 +189,7 @@ func TestFind(t *testing.T) {
 
 func TestFindIndexedMatchesLegacyScan(t *testing.T) {
 	n := simnet.New(simnet.FastConfig())
-	idxEl := New(n, Config{ID: "se-idx", Site: "eu"})
+	idxEl := New(n, Config{ID: "se-idx", Site: "eu", IdentityIndex: true})
 	scanEl := New(n, Config{ID: "se-scan", Site: "eu"})
 	t.Cleanup(idxEl.Stop)
 	t.Cleanup(scanEl.Stop)
@@ -197,8 +198,8 @@ func TestFindIndexedMatchesLegacyScan(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if el == scanEl {
-			pr.Store.SetIndexedAttrs() // no index: find falls back to the scan
+		if indexed := len(pr.Store.IndexedAttrs()) > 0; indexed != (el == idxEl) {
+			t.Fatalf("%s: indexed = %v", el.ID(), indexed)
 		}
 		call(t, n, el.Addr(), TxnReq{Partition: "p1", Ops: []TxnOp{
 			{Kind: TxnPut, Key: "sub-1", Entry: store.Entry{"imsi": {"214010000000001"}}},
@@ -496,4 +497,41 @@ func TestTxnObserver(t *testing.T) {
 	if _, _, ok := pr.Store.GetCommitted("sub-2"); !ok {
 		t.Fatal("commit with failed durability wait should still be applied")
 	}
+}
+
+// TestReplicaFootprint gates the heap one default element's master
+// replica holds per subscriber row, committed the way provisioning
+// seeds them. A default element keeps no secondary index, so the cost
+// is the rows alone: the gate fails if an index comes back silently.
+func TestReplicaFootprint(t *testing.T) {
+	const n = 100_000
+	net := simnet.New(simnet.FastConfig())
+	el := newElement(t, net, "se-1", "eu")
+	gen := subscriber.NewGenerator()
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	pr, err := el.AddReplica("p1", store.Master)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		p := gen.Profile(i)
+		txn := pr.Store.Begin(store.ReadCommitted)
+		txn.Put(p.ID, p.ToEntry())
+		if _, err := txn.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	perRow := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / n
+	if pr.Store.Len() != n || len(pr.Store.IndexedAttrs()) != 0 {
+		t.Fatalf("len = %d, indexed %v", pr.Store.Len(), pr.Store.IndexedAttrs())
+	}
+	t.Logf("%.0f B/row", perRow)
+	if perRow > 2140 {
+		t.Fatalf("replica costs %.0f B/row, want ≤ 2140", perRow)
+	}
+	runtime.KeepAlive(pr)
 }

@@ -188,7 +188,7 @@ func TestReplicaConvergenceProperty(t *testing.T) {
 		if master.Len() != slave.Len() {
 			return false
 		}
-		for _, k := range master.Keys() {
+		for _, k := range liveKeys(master) {
 			me, _, _ := master.GetCommitted(k)
 			se, _, ok := slave.GetCommitted(k)
 			if !ok || !me.Equal(se) {

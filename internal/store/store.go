@@ -24,13 +24,13 @@
 //     so reads hand back the shared entry with zero copying. Callers
 //     MUST treat entries returned by reads as read-only and Clone()
 //     before mutating.
-//   - An ordered key index (B-tree) serves Keys / range iteration
-//     without a sort-per-call scan.
-//   - Secondary indexes over configured identity attributes
-//     (IMSI/MSISDN/IMPI/IMPU) are maintained on every install path —
-//     local commit, replicated apply, repair merge, WAL replay — and
-//     turn the §3.4 identity-search fallback from a full scan into an
-//     O(log n) lookup.
+//   - An optional secondary index over configured identity attributes
+//     (IMSI/MSISDN/IMPI/IMPU), off unless SetIndexedAttrs names some,
+//     is maintained on every install path — local commit, replicated
+//     apply, repair merge, WAL replay — and turns the §3.4
+//     identity-search fallback from a full scan into a map lookup.
+//     Only elements that serve identity searches (cached location
+//     maps) enable it; everywhere else it would be heap nothing reads.
 //
 // A Store holds one partition replica; a storage element owns several
 // Stores (its primary partition plus secondary copies).
@@ -42,7 +42,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/btree"
 	"repro/internal/trace"
 	"repro/internal/vclock"
 )
@@ -288,8 +287,9 @@ func shardIndex(key string) uint32 {
 // never evict another row's mapping.
 type identityIndex struct {
 	// on is the lock-free fast path: stores with no indexed attrs
-	// (bare stores, the E9/E17 scan baselines) must not pay a global
-	// lock per install just to discover the index is disabled.
+	// (every store unless its element serves identity searches) must
+	// not pay a global lock per install just to discover the index is
+	// disabled.
 	on    atomic.Bool
 	mu    sync.RWMutex
 	attrs []string
@@ -340,16 +340,17 @@ type Store struct {
 	// live counts non-tombstone rows across all shards.
 	live atomic.Int64
 
-	// mu guards replica-wide state: role, multi-master mode,
-	// capacity and the row hook.
+	// mu guards the role and the capacity.
 	mu   sync.RWMutex
 	role Role
-	// multiMaster enables version-vector maintenance and lifts the
-	// slave write restriction (§5 evolution).
-	multiMaster bool
 	// capacity bounds the number of live rows (the paper's 200 GB /
 	// 2M-subscriber SE limit, scaled); 0 means unbounded.
 	capacity int
+	// multiMaster enables version-vector maintenance and lifts the
+	// slave write restriction (§5 evolution). It and the two hooks
+	// below are atomics because every install reads them: a store-wide
+	// lock there would serialize installs that the shards keep apart.
+	multiMaster atomic.Bool
 	// rowHook, when set, observes every installed row version (local
 	// commits, replicated applies, WAL replay and direct puts). The
 	// anti-entropy tracker keeps its Merkle tree current through it.
@@ -357,7 +358,7 @@ type Store struct {
 	// may run concurrently, hooks for one key run in install order —
 	// and must not call back into the store; the entry is shared and
 	// must not be retained or mutated.
-	rowHook func(key string, e Entry, m Meta)
+	rowHook atomic.Pointer[func(key string, e Entry, m Meta)]
 	// installObs, when set, observes every commit record this store
 	// installs through the live paths — local commits (under commitMu,
 	// in CSN order) and replicated applies (under applyMu, in stream
@@ -367,12 +368,7 @@ type Store struct {
 	// it exists for freshness tracking (the FE read cache), and those
 	// paths reconstruct state rather than carry new commits. The
 	// record and its entries are shared and must not be mutated.
-	installObs func(rec *CommitRecord)
-
-	// keyMu guards keys, the ordered index over live keys that backs
-	// Keys and AscendKeys without a sort-per-call scan.
-	keyMu sync.RWMutex
-	keys  *btree.Map[struct{}]
+	installObs atomic.Pointer[func(rec *CommitRecord)]
 
 	// idx is the secondary identity index (see SetIndexedAttrs).
 	idx identityIndex
@@ -397,10 +393,7 @@ type Store struct {
 
 // New returns an empty master store identified by replicaID.
 func New(replicaID string) *Store {
-	s := &Store{
-		replicaID: replicaID,
-		keys:      btree.New[struct{}](),
-	}
+	s := &Store{replicaID: replicaID}
 	for i := range s.shards {
 		s.shards[i].rows = make(map[string]*row)
 	}
@@ -432,18 +425,10 @@ func (s *Store) Role() Role {
 
 // SetMultiMaster toggles multi-master mode (§5): writes are accepted
 // regardless of role and rows carry version vectors.
-func (s *Store) SetMultiMaster(on bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.multiMaster = on
-}
+func (s *Store) SetMultiMaster(on bool) { s.multiMaster.Store(on) }
 
 // MultiMaster reports whether multi-master mode is on.
-func (s *Store) MultiMaster() bool {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.multiMaster
-}
+func (s *Store) MultiMaster() bool { return s.multiMaster.Load() }
 
 // SetCapacity bounds the number of live rows; 0 means unbounded.
 func (s *Store) SetCapacity(n int) {
@@ -483,16 +468,7 @@ func (s *Store) SetCommitPipeline(fn func(*CommitRecord) (wait func() error, err
 // installs, whatever the path (commit, replication, replay, direct
 // put). See the rowHook field contract.
 func (s *Store) SetRowHook(fn func(key string, e Entry, m Meta)) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.rowHook = fn
-}
-
-// loadRowHook reads the current row hook.
-func (s *Store) loadRowHook() func(key string, e Entry, m Meta) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.rowHook
+	s.rowHook.Store(&fn)
 }
 
 // SetInstallObserver installs fn to be called with every commit record
@@ -500,24 +476,24 @@ func (s *Store) loadRowHook() func(key string, e Entry, m Meta) {
 // field contract; unlike SetRowHook this slot is not used by the
 // anti-entropy tracker, so both can coexist.
 func (s *Store) SetInstallObserver(fn func(rec *CommitRecord)) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.installObs = fn
+	s.installObs.Store(&fn)
 }
 
-// loadInstallObserver reads the current install observer.
-func (s *Store) loadInstallObserver() func(rec *CommitRecord) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.installObs
+// loadFunc reads an atomic hook slot; a nil F means no hook.
+func loadFunc[F any](slot *atomic.Pointer[F]) (fn F) {
+	if p := slot.Load(); p != nil {
+		fn = *p
+	}
+	return fn
 }
 
 // SetIndexedAttrs configures the secondary identity index over the
 // given attributes and rebuilds it from the current live rows. Every
 // later install path (commit, replicated apply, repair merge, WAL
 // replay, direct put) keeps it current. Call it before the store
-// takes concurrent traffic (the storage element does, at replica
-// attach); no attributes disables the index.
+// takes concurrent traffic (a storage element serving identity
+// searches does, at replica attach). A new store indexes nothing; no
+// attributes disables the index again.
 func (s *Store) SetIndexedAttrs(attrs ...string) {
 	s.idx.mu.Lock()
 	s.idx.attrs = append([]string(nil), attrs...)
@@ -555,8 +531,8 @@ func (s *Store) IndexesAttr(attr string) bool {
 }
 
 // LookupByAttr resolves an indexed attribute value to the primary key
-// of the live row carrying it. It is the O(log n) replacement for the
-// §3.4 identity full scan.
+// of the live row carrying it. It is the map-lookup replacement for
+// the §3.4 identity full scan.
 func (s *Store) LookupByAttr(attr, value string) (string, bool) {
 	if !s.idx.on.Load() {
 		return "", false
@@ -605,29 +581,6 @@ func (s *Store) isLive(key string) bool {
 	defer sh.mu.RUnlock()
 	r, ok := sh.rows[key]
 	return ok && !r.meta.Tombstone
-}
-
-// Keys returns all live keys in sorted order, served from the ordered
-// key index.
-func (s *Store) Keys() []string {
-	s.keyMu.RLock()
-	defer s.keyMu.RUnlock()
-	out := make([]string, 0, s.keys.Len())
-	s.keys.Ascend(func(k string, _ struct{}) bool {
-		out = append(out, k)
-		return true
-	})
-	return out
-}
-
-// AscendKeys calls fn for every live key in [from, to) in ascending
-// order until fn returns false. fn must not call back into the store.
-func (s *Store) AscendKeys(from, to string, fn func(key string) bool) {
-	s.keyMu.RLock()
-	defer s.keyMu.RUnlock()
-	s.keys.AscendRange(from, to, func(k string, _ struct{}) bool {
-		return fn(k)
-	})
 }
 
 // ForEach calls fn for every live row until fn returns false.
@@ -902,9 +855,9 @@ func (t *Txn) Commit() (*CommitRecord, error) {
 	// the freeze protected, or it would install rows on a store that
 	// stopped being the master while it waited (a lost write — the new
 	// master never sees it).
+	mm := s.multiMaster.Load()
 	s.mu.RLock()
-	roleOK := s.role == Master || s.multiMaster
-	mm := s.multiMaster
+	roleOK := s.role == Master || mm
 	capacity := s.capacity
 	s.mu.RUnlock()
 	if !roleOK {
@@ -999,7 +952,7 @@ func (t *Txn) Commit() (*CommitRecord, error) {
 		rec.Ops = append(rec.Ops, op)
 	}
 
-	if obs := s.loadInstallObserver(); obs != nil {
+	if obs := loadFunc(&s.installObs); obs != nil {
 		obs(rec)
 	}
 
@@ -1037,27 +990,21 @@ func (t *Txn) Commit() (*CommitRecord, error) {
 }
 
 // finishInstallLocked settles the side state of one installed row
-// version: the live counter, the ordered key index, the identity
-// index and the row hook. The caller holds the key's shard write
-// lock; oldEntry/wasLive describe the replaced version. The hook is
-// loaded per install, under the shard lock, so a tracker attached
-// mid-commit cannot miss installs that land after its rebuild scan
-// (NewTracker's hook-before-scan invariant).
+// version: the live counter, the identity index (when enabled) and the
+// row hook. The caller holds the key's shard write lock;
+// oldEntry/wasLive describe the replaced version. The hook is loaded
+// per install, under the shard lock, so a tracker attached mid-commit
+// cannot miss installs that land after its rebuild scan (NewTracker's
+// hook-before-scan invariant).
 func (s *Store) finishInstallLocked(key string, oldEntry Entry, wasLive bool, r *row) {
 	nowLive := !r.meta.Tombstone
 	if nowLive && !wasLive {
 		s.live.Add(1)
-		s.keyMu.Lock()
-		s.keys.Set(key, struct{}{})
-		s.keyMu.Unlock()
 	} else if !nowLive && wasLive {
 		s.live.Add(-1)
-		s.keyMu.Lock()
-		s.keys.Delete(key)
-		s.keyMu.Unlock()
 	}
 	s.idx.update(key, oldEntry, wasLive, r.entry, nowLive)
-	if hook := s.loadRowHook(); hook != nil {
+	if hook := loadFunc(&s.rowHook); hook != nil {
 		hook(key, r.entry, r.meta)
 	}
 }
@@ -1066,9 +1013,7 @@ func (s *Store) finishInstallLocked(key string, oldEntry Entry, wasLive bool, r 
 // individually. local marks a locally committed record (ticks the
 // version vector in multi-master mode).
 func (s *Store) applyOps(rec *CommitRecord, local bool) {
-	s.mu.RLock()
-	mm := s.multiMaster
-	s.mu.RUnlock()
+	mm := s.multiMaster.Load()
 	for i := range rec.Ops {
 		op := &rec.Ops[i]
 		sh := s.shardFor(op.Key)
@@ -1120,7 +1065,7 @@ func (s *Store) ApplyReplicated(rec *CommitRecord) error {
 		return fmt.Errorf("%w: have %d, got %d", ErrBadCSN, applied, rec.CSN)
 	}
 	s.applyOps(rec, false)
-	if obs := s.loadInstallObserver(); obs != nil {
+	if obs := loadFunc(&s.installObs); obs != nil {
 		// Fire before the watermark advances: anyone who polls
 		// AppliedCSN() up to rec.CSN may rely on observer effects
 		// (cache freshness marks) being complete.

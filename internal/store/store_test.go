@@ -3,6 +3,7 @@ package store
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -498,17 +499,31 @@ func TestEntryEqualProperty(t *testing.T) {
 	}
 }
 
-func TestKeysSorted(t *testing.T) {
+func TestForEachSkipsTombstones(t *testing.T) {
 	s := New("r1")
 	for _, k := range []string{"z", "a", "m"} {
 		txn := s.Begin(ReadCommitted)
 		txn.Put(k, entry("v", "1"))
 		txn.Commit()
 	}
-	keys := s.Keys()
-	if len(keys) != 3 || keys[0] != "a" || keys[2] != "z" {
+	txn := s.Begin(ReadCommitted)
+	txn.Delete("m")
+	txn.Commit()
+	keys := liveKeys(s)
+	if !slices.Equal(keys, []string{"a", "z"}) {
 		t.Fatalf("keys = %v", keys)
 	}
+}
+
+// liveKeys returns the store's live keys, sorted.
+func liveKeys(s *Store) []string {
+	var keys []string
+	s.ForEach(func(k string, _ Entry, _ Meta) bool {
+		keys = append(keys, k)
+		return true
+	})
+	slices.Sort(keys)
+	return keys
 }
 
 func TestForEachEarlyStop(t *testing.T) {

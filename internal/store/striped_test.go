@@ -2,7 +2,6 @@ package store
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"testing"
 )
@@ -144,30 +143,12 @@ func TestForEachMetaAndAny(t *testing.T) {
 	}
 }
 
-// TestAscendKeys covers the ordered key index range iteration.
-func TestAscendKeys(t *testing.T) {
-	s := New("r1")
-	for _, k := range []string{"d", "a", "c", "b", "e"} {
-		txn := s.Begin(ReadCommitted)
-		txn.Put(k, Entry{"v": {"1"}})
-		txn.Commit()
-	}
-	var got []string
-	s.AscendKeys("b", "e", func(k string) bool {
-		got = append(got, k)
-		return true
-	})
-	if fmt.Sprint(got) != "[b c d]" {
-		t.Fatalf("range = %v", got)
-	}
-}
-
 // TestConcurrentEngineConsistency is the striped-engine property
 // test: concurrent transactions on a master, the ordered replication
 // stream applying onto a slave, and compare-and-put merges (the
 // repair path) all race across shards. Afterwards every invariant the
 // refactor must preserve is checked: CSN total order, live
-// accounting, ordered key index, identity index consistency, and
+// accounting, identity index consistency, and
 // master/slave convergence. Run it under -race (CI does).
 func TestConcurrentEngineConsistency(t *testing.T) {
 	const (
@@ -283,18 +264,8 @@ func TestConcurrentEngineConsistency(t *testing.T) {
 		t.Fatalf("commits=%d max=%d csn=%d", len(seen), maxCSN, master.CSN())
 	}
 
-	// Live accounting and the ordered key index agree with a full
-	// scan of the shards.
-	var scanned []string
-	master.ForEach(func(k string, _ Entry, _ Meta) bool {
-		scanned = append(scanned, k)
-		return true
-	})
-	sort.Strings(scanned)
-	idxKeys := master.Keys()
-	if fmt.Sprint(scanned) != fmt.Sprint(idxKeys) {
-		t.Fatalf("key index drifted:\nscan = %v\nkeys = %v", scanned, idxKeys)
-	}
+	// Live accounting agrees with a full scan of the shards.
+	scanned := liveKeys(master)
 	if master.Len() != len(scanned) {
 		t.Fatalf("live = %d, scan = %d", master.Len(), len(scanned))
 	}

@@ -92,6 +92,8 @@ for family in \
     "udr_fe_cache_evictions_total counter" \
     "udr_fe_cache_invalidations_total counter" \
     "udr_fe_cache_entries gauge" \
+    "udr_locator_map_entries gauge" \
+    "udr_locator_map_bytes gauge" \
     "udr_wal_checkpoints_total counter" \
     "udr_wal_checkpoint_duration_seconds gauge" \
     "udr_wal_checkpoint_bytes gauge" \
