@@ -2,15 +2,19 @@
 // needed by the UDR's LDAP northbound interface (§1: the UDR "is
 // mandated to support an LDAP-based interface").
 //
-// A BER element is modelled as a Packet tree: constructed packets hold
-// children, primitive packets hold raw bytes. Only definite-length
-// encoding is produced; both short- and long-form lengths are parsed.
+// Neither direction builds a tree. An Encoder appends tag-length-value
+// elements straight into a caller's buffer, back-patching each
+// constructed element's length when it closes. A Decoder pulls the
+// elements of a message out of its bytes in order, as sub-slices, and
+// allocates nothing. Only minimal definite-length encodings are
+// produced; both short- and long-form lengths are parsed.
 package ber
 
 import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 )
 
 // Class is the BER tag class.
@@ -42,122 +46,77 @@ var ErrTruncated = errors.New("ber: truncated element")
 // hostile length headers.
 const MaxElementSize = 16 << 20
 
-// Packet is one BER element.
-type Packet struct {
-	Class       Class
-	Constructed bool
-	Tag         int
-	Value       []byte    // primitive contents
-	Children    []*Packet // constructed contents
-	// encLen carries a node's content length from the sizing walk to
-	// the encode walk of one Encode/AppendTo call; it is consumed
-	// (zeroed) by the encode walk.
-	encLen int
+// Encoder appends BER elements to Buf. The zero value appends to a
+// nil buffer; set Buf to reuse one.
+type Encoder struct {
+	Buf []byte
 }
 
-// NewSequence returns an empty universal SEQUENCE.
-func NewSequence() *Packet {
-	return &Packet{Class: ClassUniversal, Constructed: true, Tag: TagSequence}
+// Begin opens a constructed element and returns the mark that End
+// takes to close it. Elements nest: close the innermost first.
+func (e *Encoder) Begin(class Class, tag int) int {
+	e.Buf = appendTag(e.Buf, class, true, tag)
+	e.Buf = append(e.Buf, 0) // length, patched by End
+	return len(e.Buf)
 }
 
-// NewConstructed returns an empty constructed packet with the given
-// class and tag (used for LDAP APPLICATION and context tags).
-func NewConstructed(class Class, tag int) *Packet {
-	return &Packet{Class: class, Constructed: true, Tag: tag}
-}
-
-// NewPrimitive returns a primitive packet with raw contents.
-func NewPrimitive(class Class, tag int, value []byte) *Packet {
-	return &Packet{Class: class, Tag: tag, Value: value}
-}
-
-// NewBoolean returns a universal BOOLEAN.
-func NewBoolean(v bool) *Packet {
-	b := byte(0x00)
-	if v {
-		b = 0xFF
+// End closes the constructed element Begin opened at mark by writing
+// its content length. A short-form length fits the octet Begin
+// reserved; a long-form one shifts the content up to make room.
+func (e *Encoder) End(mark int) {
+	n := len(e.Buf) - mark
+	if n < 0x80 {
+		e.Buf[mark-1] = byte(n)
+		return
 	}
-	return NewPrimitive(ClassUniversal, TagBoolean, []byte{b})
+	extra := lengthLen(n) - 1
+	e.Buf = slices.Grow(e.Buf, extra)[:len(e.Buf)+extra]
+	copy(e.Buf[mark+extra:], e.Buf[mark:mark+n])
+	appendLength(e.Buf[:mark-1], n)
 }
 
-// NewInteger returns a universal INTEGER.
-func NewInteger(v int64) *Packet {
-	return NewPrimitive(ClassUniversal, TagInteger, encodeInt(v))
+// String appends a primitive element whose contents are s.
+func (e *Encoder) String(class Class, tag int, s string) {
+	e.Buf = appendTag(e.Buf, class, false, tag)
+	e.Buf = appendLength(e.Buf, len(s))
+	e.Buf = append(e.Buf, s...)
 }
 
-// NewEnumerated returns a universal ENUMERATED.
-func NewEnumerated(v int64) *Packet {
-	return NewPrimitive(ClassUniversal, TagEnumerated, encodeInt(v))
+// Bytes appends a primitive element whose contents are v.
+func (e *Encoder) Bytes(class Class, tag int, v []byte) {
+	e.Buf = appendTag(e.Buf, class, false, tag)
+	e.Buf = appendLength(e.Buf, len(v))
+	e.Buf = append(e.Buf, v...)
 }
 
-// NewString returns a universal OCTET STRING.
-func NewString(s string) *Packet {
-	return NewPrimitive(ClassUniversal, TagOctetString, []byte(s))
-}
+// OctetString appends a universal OCTET STRING.
+func (e *Encoder) OctetString(s string) { e.String(ClassUniversal, TagOctetString, s) }
 
-// NewNull returns a universal NULL.
-func NewNull() *Packet { return NewPrimitive(ClassUniversal, TagNull, nil) }
-
-// Append adds children to a constructed packet and returns it.
-func (p *Packet) Append(children ...*Packet) *Packet {
-	p.Children = append(p.Children, children...)
-	return p
-}
-
-// Bool decodes a BOOLEAN packet.
-func (p *Packet) Bool() (bool, error) {
-	if len(p.Value) != 1 {
-		return false, fmt.Errorf("ber: boolean with %d content bytes", len(p.Value))
-	}
-	return p.Value[0] != 0, nil
-}
-
-// Int decodes an INTEGER or ENUMERATED packet.
-func (p *Packet) Int() (int64, error) {
-	if len(p.Value) == 0 || len(p.Value) > 8 {
-		return 0, fmt.Errorf("ber: integer with %d content bytes", len(p.Value))
-	}
-	v := int64(0)
-	if p.Value[0]&0x80 != 0 {
-		v = -1 // sign-extend
-	}
-	for _, b := range p.Value {
-		v = v<<8 | int64(b)
-	}
-	return v, nil
-}
-
-// Str returns the contents as a string.
-func (p *Packet) Str() string { return string(p.Value) }
-
-// Child returns the i-th child, or nil when out of range, so callers
-// can chain lookups and check once.
-func (p *Packet) Child(i int) *Packet {
-	if i < 0 || i >= len(p.Children) {
-		return nil
-	}
-	return p.Children[i]
-}
-
-func encodeInt(v int64) []byte {
-	// Minimal two's-complement encoding.
+// Int appends a primitive element holding v in minimal two's
+// complement: an INTEGER or ENUMERATED under its universal tag.
+func (e *Encoder) Int(tag int, v int64) {
 	n := 1
 	for m := v >> 8; m != 0 && m != -1; m >>= 8 {
 		n++
 	}
-	// Need an extra byte if the sign bit doesn't match.
-	if v > 0 && (v>>(8*uint(n-1)))&0x80 != 0 {
+	// One more octet when the top bit would read as the wrong sign.
+	if top := v >> (8 * uint(n-1)); (v > 0 && top&0x80 != 0) || (v < 0 && top&0x80 == 0) {
 		n++
 	}
-	if v < 0 && (v>>(8*uint(n-1)))&0x80 == 0 {
-		n++
-	}
-	out := make([]byte, n)
+	e.Buf = appendTag(e.Buf, ClassUniversal, false, tag)
+	e.Buf = append(e.Buf, byte(n))
 	for i := n - 1; i >= 0; i-- {
-		out[i] = byte(v)
-		v >>= 8
+		e.Buf = append(e.Buf, byte(v>>(8*uint(i))))
 	}
-	return out
+}
+
+// Bool appends a universal BOOLEAN.
+func (e *Encoder) Bool(v bool) {
+	b := byte(0x00)
+	if v {
+		b = 0xFF
+	}
+	e.Buf = append(e.Buf, TagBoolean, 1, b)
 }
 
 // appendLength appends the definite-length encoding of n.
@@ -165,15 +124,12 @@ func appendLength(b []byte, n int) []byte {
 	if n < 0x80 {
 		return append(b, byte(n))
 	}
-	var tmp [8]byte
-	i := len(tmp)
-	for n > 0 {
-		i--
-		tmp[i] = byte(n)
-		n >>= 8
+	k := lengthLen(n) - 1
+	b = append(b, byte(0x80|k))
+	for i := k - 1; i >= 0; i-- {
+		b = append(b, byte(n>>(8*uint(i))))
 	}
-	b = append(b, byte(0x80|(len(tmp)-i)))
-	return append(b, tmp[i:]...)
+	return b
 }
 
 // lengthLen returns the size of appendLength's output.
@@ -189,7 +145,7 @@ func lengthLen(n int) int {
 	return sz
 }
 
-// appendTag appends the tag octets.
+// appendTag appends the identifier octets.
 func appendTag(b []byte, class Class, constructed bool, tag int) []byte {
 	id := byte(class)
 	if constructed {
@@ -199,18 +155,15 @@ func appendTag(b []byte, class Class, constructed bool, tag int) []byte {
 		return append(b, id|byte(tag))
 	}
 	// High-tag-number form (not used by LDAP but supported for
-	// completeness).
+	// completeness): base-128 digits, most significant first.
 	b = append(b, id|0x1F)
-	var tmp [8]byte
-	i := len(tmp)
-	for tag > 0 {
-		i--
-		tmp[i] = byte(tag & 0x7F)
-		tag >>= 7
+	k := 0
+	for t := tag; t > 0; t >>= 7 {
+		k++
 	}
-	for j := i; j < len(tmp); j++ {
-		c := tmp[j]
-		if j != len(tmp)-1 {
+	for i := k - 1; i >= 0; i-- {
+		c := byte(tag>>(7*uint(i))) & 0x7F
+		if i > 0 {
 			c |= 0x80
 		}
 		b = append(b, c)
@@ -218,91 +171,129 @@ func appendTag(b []byte, class Class, constructed bool, tag int) []byte {
 	return b
 }
 
-// tagLen returns the size of appendTag's output.
-func tagLen(tag int) int {
-	if tag < 0x1F {
-		return 1
-	}
-	sz := 1
-	for tag > 0 {
-		sz++
-		tag >>= 7
-	}
-	return sz
+// Element is one decoded element: its identifier and its content
+// octets, a sub-slice of the Decoder's input that starts at offset Off.
+type Element struct {
+	Class       Class
+	Constructed bool
+	Tag         int
+	Content     []byte
+	Off         int
 }
 
-// sizePass computes the packet's full encoded size in one bottom-up
-// walk, caching each node's content length in encLen for the encode
-// pass that immediately follows (appendSized consumes and clears the
-// cache, so a rebuilt tree can never see a stale size).
-func (p *Packet) sizePass() int {
-	c := 0
-	if p.Constructed {
-		for _, ch := range p.Children {
-			c += ch.sizePass()
-		}
-	} else {
-		c = len(p.Value)
-	}
-	p.encLen = c
-	return tagLen(p.Tag) + lengthLen(c) + c
+// Decoder pulls consecutive elements out of a span of its input. The
+// elements inside a constructed one are read with Children; nothing
+// is parsed before it is asked for.
+type Decoder struct {
+	in       []byte
+	pos, end int
 }
 
-// appendSized appends the packet's encoding using the content lengths
-// cached by sizePass.
-func (p *Packet) appendSized(dst []byte) []byte {
-	c := p.encLen
-	p.encLen = 0
-	dst = appendTag(dst, p.Class, p.Constructed, p.Tag)
-	dst = appendLength(dst, c)
-	if p.Constructed {
-		for _, ch := range p.Children {
-			dst = ch.appendSized(dst)
-		}
-		return dst
-	}
-	return append(dst, p.Value...)
-}
+// NewDecoder returns a decoder over the elements laid end to end in
+// buf. Element offsets are relative to buf.
+func NewDecoder(buf []byte) Decoder { return Decoder{in: buf, end: len(buf)} }
 
-// AppendTo appends the packet's encoding to dst and returns the
-// extended slice: one sizing walk, one encode walk. Callers that
-// reuse dst across messages (the LDAP server's per-connection write
-// buffer) encode with zero per-message buffer allocations.
-func (p *Packet) AppendTo(dst []byte) []byte {
-	p.sizePass()
-	return p.appendSized(dst)
-}
+// More reports whether any input is left.
+func (d *Decoder) More() bool { return d.pos < d.end }
 
-// Encode serializes the packet tree into one exactly-sized buffer.
-func (p *Packet) Encode() []byte {
-	total := p.sizePass()
-	return p.appendSized(make([]byte, 0, total))
-}
-
-// Parse decodes one element from buf, returning the element and the
-// remaining bytes.
-func Parse(buf []byte) (*Packet, []byte, error) {
-	p, n, err := parseElem(buf)
+// Next reads the element at the front of the remaining input. Its
+// header must be well formed and its content must fit the span; the
+// content of a constructed element is not examined.
+func (d *Decoder) Next() (Element, error) {
+	buf := d.in[d.pos:d.end]
+	el, hdr, n, err := parseHeader(buf)
 	if err != nil {
-		return nil, buf, err
+		return Element{}, err
 	}
-	return p, buf[n:], nil
+	if hdr+n > len(buf) {
+		return Element{}, ErrTruncated
+	}
+	el.Content = buf[hdr : hdr+n]
+	el.Off = d.pos + hdr
+	d.pos = el.Off + n
+	return el, nil
 }
 
-func parseElem(buf []byte) (*Packet, int, error) {
+// Children returns a decoder over the elements inside e, which Next
+// returned; it is empty when e is primitive.
+func (d *Decoder) Children(e Element) Decoder {
+	if !e.Constructed {
+		return Decoder{in: d.in, pos: e.Off, end: e.Off}
+	}
+	return Decoder{in: d.in, pos: e.Off, end: e.Off + len(e.Content)}
+}
+
+// Skip checks that the remaining input is a series of well-formed
+// elements, constructed ones all the way down, and consumes it.
+func (d *Decoder) Skip() error {
+	if err := Check(d.in[d.pos:d.end]); err != nil {
+		return err
+	}
+	d.pos = d.end
+	return nil
+}
+
+// Check reports whether buf is a series of well-formed elements,
+// looking inside every constructed one. It walks the nesting with an
+// explicit stack rather than recursion, so no input can exhaust the
+// goroutine stack.
+func Check(buf []byte) error {
+	var stack [16]int
+	ends := stack[:0] // end offsets of the enclosing constructed elements
+	pos, end := 0, len(buf)
+	for {
+		for pos == end {
+			if len(ends) == 0 {
+				return nil
+			}
+			end = ends[len(ends)-1]
+			ends = ends[:len(ends)-1]
+		}
+		el, hdr, n, err := parseHeader(buf[pos:end])
+		if err != nil {
+			return err
+		}
+		next := pos + hdr + n
+		if next > end {
+			return ErrTruncated
+		}
+		if el.Constructed {
+			ends = append(ends, end)
+			pos, end = pos+hdr, next
+		} else {
+			pos = next
+		}
+	}
+}
+
+// ElementSize returns the encoded size of the element at the front of
+// buf, of which only the header need be present. It fails with
+// ErrTruncated when even the header is incomplete.
+func ElementSize(buf []byte) (int, error) {
+	_, hdr, n, err := parseHeader(buf)
+	if err != nil {
+		return 0, err
+	}
+	return hdr + n, nil
+}
+
+// parseHeader parses the identifier and length octets at the front of
+// buf: it returns the element's identifier (Content and Off unset), the
+// header's size and the declared content length.
+func parseHeader(buf []byte) (el Element, hdr, length int, err error) {
 	if len(buf) < 2 {
-		return nil, 0, ErrTruncated
+		return Element{}, 0, 0, ErrTruncated
 	}
 	b := buf[0]
-	class := Class(b & 0xC0)
-	constructed := b&0x20 != 0
+	el.Class = Class(b & 0xC0)
+	el.Constructed = b&0x20 != 0
 	tag := int(b & 0x1F)
 	idx := 1
 	if tag == 0x1F {
 		tag = 0
 		for {
 			if idx >= len(buf) {
-				return nil, 0, ErrTruncated
+				return Element{}, 0, 0, ErrTruncated
 			}
 			c := buf[idx]
 			idx++
@@ -311,25 +302,26 @@ func parseElem(buf []byte) (*Packet, int, error) {
 				break
 			}
 			if tag > 1<<24 {
-				return nil, 0, errors.New("ber: tag too large")
+				return Element{}, 0, 0, errors.New("ber: tag too large")
 			}
 		}
 	}
+	el.Tag = tag
 	if idx >= len(buf) {
-		return nil, 0, ErrTruncated
+		return Element{}, 0, 0, ErrTruncated
 	}
-	length := int(buf[idx])
+	length = int(buf[idx])
 	idx++
 	if length&0x80 != 0 {
 		nbytes := length & 0x7F
 		if nbytes == 0 {
-			return nil, 0, errors.New("ber: indefinite length unsupported")
+			return Element{}, 0, 0, errors.New("ber: indefinite length unsupported")
 		}
 		if nbytes > 4 {
-			return nil, 0, errors.New("ber: length too large")
+			return Element{}, 0, 0, errors.New("ber: length too large")
 		}
 		if idx+nbytes > len(buf) {
-			return nil, 0, ErrTruncated
+			return Element{}, 0, 0, ErrTruncated
 		}
 		length = 0
 		for i := 0; i < nbytes; i++ {
@@ -338,27 +330,32 @@ func parseElem(buf []byte) (*Packet, int, error) {
 		}
 	}
 	if length > MaxElementSize {
-		return nil, 0, errors.New("ber: element exceeds size limit")
+		return Element{}, 0, 0, errors.New("ber: element exceeds size limit")
 	}
-	if idx+length > len(buf) {
-		return nil, 0, ErrTruncated
+	return el, idx, length, nil
+}
+
+// ParseInt decodes the contents of an INTEGER or ENUMERATED element.
+func ParseInt(content []byte) (int64, error) {
+	if len(content) == 0 || len(content) > 8 {
+		return 0, fmt.Errorf("ber: integer with %d content bytes", len(content))
 	}
-	content := buf[idx : idx+length]
-	p := &Packet{Class: class, Constructed: constructed, Tag: tag}
-	if constructed {
-		rest := content
-		for len(rest) > 0 {
-			child, n, err := parseElem(rest)
-			if err != nil {
-				return nil, 0, err
-			}
-			p.Children = append(p.Children, child)
-			rest = rest[n:]
-		}
-	} else {
-		p.Value = append([]byte(nil), content...)
+	v := int64(0)
+	if content[0]&0x80 != 0 {
+		v = -1 // sign-extend
 	}
-	return p, idx + length, nil
+	for _, b := range content {
+		v = v<<8 | int64(b)
+	}
+	return v, nil
+}
+
+// ParseBool decodes the contents of a BOOLEAN element.
+func ParseBool(content []byte) (bool, error) {
+	if len(content) != 1 {
+		return false, fmt.Errorf("ber: boolean with %d content bytes", len(content))
+	}
+	return content[0] != 0, nil
 }
 
 // ReadElement reads exactly one BER element from r, using the length

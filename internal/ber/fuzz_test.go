@@ -2,6 +2,7 @@ package ber
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 	"testing/iotest"
 )
@@ -10,27 +11,35 @@ import (
 // messages, every length form, high tag numbers, and the hostile
 // shapes the parser must reject without panicking.
 func fuzzSeeds() [][]byte {
-	bind := NewConstructed(ClassApplication, 0).Append(
-		NewInteger(3), NewString("cn=admin"),
-		NewPrimitive(ClassContext, 0, []byte("secret")))
-	msg := NewSequence().Append(NewInteger(1), bind)
-	long := NewString(string(bytes.Repeat([]byte("x"), 300))) // long-form length
-	hi := NewPrimitive(ClassPrivate, 0x7FFF, []byte("hi"))    // high-tag-number form
-	deep := NewSequence()
-	cur := deep
-	for i := 0; i < 30; i++ {
-		next := NewSequence()
-		cur.Append(next)
-		cur = next
-	}
-	cur.Append(NewBoolean(true))
+	msg := encode(func(e *Encoder) {
+		env := e.Begin(ClassUniversal, TagSequence)
+		e.Int(TagInteger, 1)
+		bind := e.Begin(ClassApplication, 0)
+		e.Int(TagInteger, 3)
+		e.OctetString("cn=admin")
+		e.String(ClassContext, 0, "secret")
+		e.End(bind)
+		e.End(env)
+	})
+	long := encode(func(e *Encoder) { e.OctetString(string(bytes.Repeat([]byte("x"), 300))) }) // long-form length
+	hi := encode(func(e *Encoder) { e.String(ClassPrivate, 0x7FFF, "hi") })                    // high-tag-number form
+	deep := encode(func(e *Encoder) {
+		var marks [31]int
+		for i := range marks {
+			marks[i] = e.Begin(ClassUniversal, TagSequence)
+		}
+		e.Bool(true)
+		for i := len(marks) - 1; i >= 0; i-- {
+			e.End(marks[i])
+		}
+	})
 	return [][]byte{
-		msg.Encode(),
-		long.Encode(),
-		hi.Encode(),
-		deep.Encode(),
-		NewNull().Encode(),
-		NewSequence().Encode(),
+		msg,
+		long,
+		hi,
+		deep,
+		{TagNull, 0x00},
+		{0x30, 0x00},
 		{},                             // empty
 		{0x30},                         // tag only
 		{0x30, 0x84, 0xFF, 0xFF, 0xFF}, // truncated long-form length
@@ -41,38 +50,83 @@ func fuzzSeeds() [][]byte {
 	}
 }
 
-// FuzzPacketDecode throws arbitrary bytes at the tree parser. A parse
-// must either error or yield a packet that re-encodes and re-parses to
-// the same structure (the server round-trips every request it answers).
+// FuzzPacketDecode throws arbitrary bytes at the pull decoder. The
+// first element must either be rejected, by Next or by Check, or
+// re-encode to the same structure: decoding the re-encoding gives the
+// same dump, and re-encoding is a fixpoint (the server round-trips
+// every request it answers).
 func FuzzPacketDecode(f *testing.F) {
 	for _, seed := range fuzzSeeds() {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		p, rest, err := Parse(data)
+		d := NewDecoder(data)
+		el, err := d.Next()
 		if err != nil {
 			return
 		}
-		consumed := len(data) - len(rest)
+		consumed := el.Off + len(el.Content)
 		if consumed <= 0 || consumed > len(data) {
 			t.Fatalf("consumed %d of %d bytes", consumed, len(data))
 		}
-		enc := p.Encode()
-		p2, rest2, err := Parse(enc)
-		if err != nil {
-			t.Fatalf("re-parse of re-encoding failed: %v", err)
+		if el.Constructed && Check(el.Content) != nil {
+			return
 		}
-		if len(rest2) != 0 {
-			t.Fatalf("re-encoding left %d trailing bytes", len(rest2))
+		var e Encoder
+		reencode(&e, &d, el)
+		enc := e.Buf
+		d2 := NewDecoder(enc)
+		el2, err := d2.Next()
+		if err != nil || d2.More() {
+			t.Fatalf("re-decode of re-encoding failed: %v (more %v)", err, d2.More())
 		}
-		if !packetEqual(p, p2) {
-			t.Fatalf("round trip changed packet:\n in: %#v\nout: %#v", p, p2)
+		if a, b := dump(&d, el), dump(&d2, el2); a != b {
+			t.Fatalf("round trip changed element:\n in: %s\nout: %s", a, b)
 		}
-		// AppendTo must agree with Encode byte for byte.
-		if got := p.AppendTo(nil); !bytes.Equal(got, enc) {
-			t.Fatalf("AppendTo diverges from Encode")
+		// Re-encoding is a fixpoint, and appending behind other output
+		// writes the same bytes.
+		e2 := Encoder{Buf: []byte{0xEE}}
+		reencode(&e2, &d2, el2)
+		if !bytes.Equal(e2.Buf[1:], enc) {
+			t.Fatalf("re-encoding is not a fixpoint")
 		}
 	})
+}
+
+// reencode writes el, which d returned, through the Encoder.
+func reencode(e *Encoder, d *Decoder, el Element) {
+	if !el.Constructed {
+		e.Bytes(el.Class, el.Tag, el.Content)
+		return
+	}
+	m := e.Begin(el.Class, el.Tag)
+	kids := d.Children(el)
+	for kids.More() {
+		k, err := kids.Next()
+		if err != nil {
+			panic(err) // Check accepted the content
+		}
+		reencode(e, &kids, k)
+	}
+	e.End(m)
+}
+
+// dump renders el's structure: identifiers and primitive contents.
+func dump(d *Decoder, el Element) string {
+	s := fmt.Sprintf("%d/%v/%d", el.Class, el.Constructed, el.Tag)
+	if !el.Constructed {
+		return s + fmt.Sprintf("%q", el.Content)
+	}
+	s += "{"
+	kids := d.Children(el)
+	for kids.More() {
+		k, err := kids.Next()
+		if err != nil {
+			return s + "!" + err.Error()
+		}
+		s += dump(&kids, k) + ","
+	}
+	return s + "}"
 }
 
 // FuzzReadElement feeds arbitrary byte streams to the length-framed
@@ -95,13 +149,14 @@ func FuzzReadElement(f *testing.F) {
 		if !bytes.Equal(frame, data[:len(frame)]) {
 			t.Fatalf("frame is not a prefix of the input")
 		}
-		// The frame claims to hold exactly one element: parsing it must
+		// The frame claims to hold exactly one element: decoding it must
 		// consume it fully or reject it — never read past it.
-		if p, rest, err := Parse(frame); err == nil {
-			if len(rest) != 0 {
-				t.Fatalf("ReadElement framed %d bytes but Parse left %d", len(frame), len(rest))
-			}
-			_ = p
+		d := NewDecoder(frame)
+		if _, err := d.Next(); err == nil && d.More() {
+			t.Fatalf("ReadElement framed %d bytes but Next left some", len(frame))
+		}
+		if n, err := ElementSize(frame); err == nil && n != len(frame) {
+			t.Fatalf("ReadElement framed %d bytes, ElementSize says %d", len(frame), n)
 		}
 	})
 }
@@ -122,22 +177,4 @@ func FuzzReadElementShortReads(f *testing.F) {
 			t.Fatalf("chunking changed frame")
 		}
 	})
-}
-
-func packetEqual(a, b *Packet) bool {
-	if a.Class != b.Class || a.Constructed != b.Constructed || a.Tag != b.Tag {
-		return false
-	}
-	if !bytes.Equal(a.Value, b.Value) {
-		return false
-	}
-	if len(a.Children) != len(b.Children) {
-		return false
-	}
-	for i := range a.Children {
-		if !packetEqual(a.Children[i], b.Children[i]) {
-			return false
-		}
-	}
-	return true
 }

@@ -287,6 +287,10 @@ func (b *LDAPBackend) Search(req *ldap.SearchRequest) ([]ldap.SearchEntry, ldap.
 		if perr != nil {
 			return nil, ldap.Result{Code: ldap.ResultNoSuchObject, Message: perr.Error()}
 		}
+		// A decoded request's strings share the whole message's
+		// memory, and the FE cache may keep the key it is filled
+		// under. (An identity it keeps is the row image's copy.)
+		id = strings.Clone(id)
 		exec, err = b.session.Exec(ctx, ExecReq{
 			SubscriberID: id,
 			Partition:    "", // resolved by probing; avoid when possible
@@ -316,7 +320,13 @@ func (b *LDAPBackend) Search(req *ldap.SearchRequest) ([]ldap.SearchEntry, ldap.
 	if !req.Filter.Matches(entry) {
 		return nil, ldap.Result{Code: ldap.ResultSuccess} // zero matches
 	}
-	attrs := projectAttrs(entry, req.Attributes, req.TypesOnly)
+	// The committed row image is immutable (store.Entry is
+	// copy-on-write) and the server only encodes it, so it goes out
+	// as is unless a selection asks for a projection.
+	attrs := map[string][]string(entry)
+	if len(req.Attributes) > 0 || req.TypesOnly {
+		attrs = projectAttrs(entry, req.Attributes, req.TypesOnly)
+	}
 	return []ldap.SearchEntry{{
 		DN:    subscriber.DN(exec.SubscriberID),
 		Attrs: attrs,
@@ -390,17 +400,21 @@ func (b *LDAPBackend) Write(ops []ldap.WriteOp) ldap.Result {
 	}
 	var groups []group
 	index := map[string]int{}
+	// Every string that may be stored is cloned: a decoded request's
+	// strings share the whole message's memory, which a row must not
+	// keep alive.
 	for _, w := range ops {
 		subID, err := subscriber.ParseDN(w.DN)
 		if err != nil {
 			return ldap.Result{Code: ldap.ResultNoSuchObject, Message: err.Error()}
 		}
+		subID = strings.Clone(subID)
 		var op se.TxnOp
 		switch w.Kind {
 		case ldap.WriteAdd:
 			entry := store.Entry{}
 			for a, vs := range w.Attrs {
-				entry[a] = append([]string(nil), vs...)
+				entry[strings.Clone(a)] = cloneStrings(vs)
 			}
 			op = se.TxnOp{Kind: se.TxnPut, Key: subID, Entry: entry}
 		case ldap.WriteModify:
@@ -413,7 +427,7 @@ func (b *LDAPBackend) Write(ops []ldap.WriteOp) ldap.Result {
 				case ldap.ChangeDelete:
 					kind = store.ModDelete
 				}
-				mods = append(mods, store.Mod{Kind: kind, Attr: c.Attr, Vals: c.Vals})
+				mods = append(mods, store.Mod{Kind: kind, Attr: strings.Clone(c.Attr), Vals: cloneStrings(c.Vals)})
 			}
 			op = se.TxnOp{Kind: se.TxnModify, Key: subID, Mods: mods}
 		case ldap.WriteDelete:
@@ -446,6 +460,18 @@ func (b *LDAPBackend) Write(ops []ldap.WriteOp) ldap.Result {
 		}
 	}
 	return ldap.Result{Code: ldap.ResultSuccess}
+}
+
+// cloneStrings deep-copies vs (nil stays nil).
+func cloneStrings(vs []string) []string {
+	if vs == nil {
+		return nil
+	}
+	out := make([]string, len(vs))
+	for i, v := range vs {
+		out[i] = strings.Clone(v)
+	}
+	return out
 }
 
 // resultFromErr maps core/network errors onto LDAP result codes.

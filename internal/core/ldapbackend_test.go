@@ -1,7 +1,10 @@
 package core
 
 import (
+	"bytes"
+	"context"
 	"testing"
+	"unsafe"
 
 	"repro/internal/ldap"
 	"repro/internal/se"
@@ -155,6 +158,97 @@ func TestLDAPBackendWriteGroupsOneTxn(t *testing.T) {
 	}
 }
 
+// TestLDAPBackendWriteClonesRequestStrings: rows written from decoded
+// requests share no memory with them. A decoded request's strings are
+// cut from one copy of the whole message, which a row must not pin.
+func TestLDAPBackendWriteClonesRequestStrings(t *testing.T) {
+	net, u, profiles := testUDR(t, 1)
+	ctx := ctxT(t)
+	if err := u.WaitReplication(ctx); err != nil {
+		t.Fatal(err)
+	}
+	site := u.Sites()[0]
+	b := NewLDAPBackend(NewSession(net, simnet.MakeAddr(site, "b"), site, PolicyPS))
+	// decode round-trips op through the wire and returns it with the
+	// address range of the message copy its strings are cut from.
+	decode := func(op any, dn string) (any, uintptr, uintptr) {
+		buf, err := (&ldap.Message{ID: 1, Op: op}).Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, err := ldap.Decode(buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got string
+		switch o := msg.Op.(type) {
+		case *ldap.ModifyRequest:
+			got = o.DN
+		case *ldap.AddRequest:
+			got = o.DN
+		}
+		lo := uintptr(unsafe.Pointer(unsafe.StringData(got))) - uintptr(bytes.Index(buf, []byte(dn)))
+		return msg.Op, lo, lo + uintptr(len(buf))
+	}
+	checkRow := func(id string, lo, hi uintptr) {
+		t.Helper()
+		inMsg := func(s string) bool {
+			p := uintptr(unsafe.Pointer(unsafe.StringData(s)))
+			return len(s) > 0 && p >= lo && p < hi
+		}
+		placement, err := u.Stage(site).Lookup(ctx, subscriber.Identity{Type: subscriber.UID, Value: id})
+		if err != nil {
+			t.Fatal(err)
+		}
+		part, _ := u.Partition(placement.Partition)
+		st := u.Element(part.Master().Element).Replica(placement.Partition).Store
+		found := false
+		st.ForEach(func(key string, e store.Entry, _ store.Meta) bool {
+			if key != id {
+				return true
+			}
+			found = true
+			if inMsg(key) {
+				t.Errorf("row key %q shares the request's memory", key)
+			}
+			for a, vs := range e {
+				if inMsg(a) {
+					t.Errorf("attribute name %q shares the request's memory", a)
+				}
+				for _, v := range vs {
+					if inMsg(v) {
+						t.Errorf("%s value %q shares the request's memory", a, v)
+					}
+				}
+			}
+			return false
+		})
+		if !found {
+			t.Fatalf("row %s not found", id)
+		}
+	}
+
+	p := profiles[0]
+	dn := subscriber.DN(p.ID)
+	op, lo, hi := decode(&ldap.ModifyRequest{DN: dn, Changes: []ldap.Change{
+		{Op: ldap.ChangeReplace, Attr: "ldapNote", Vals: []string{"written over LDAP"}},
+	}}, dn)
+	mod := op.(*ldap.ModifyRequest)
+	if res := b.Write([]ldap.WriteOp{{Kind: ldap.WriteModify, DN: mod.DN, Changes: mod.Changes}}); res.Code != ldap.ResultSuccess {
+		t.Fatalf("modify = %v", res)
+	}
+	checkRow(p.ID, lo, hi)
+
+	fresh := subscriber.NewGenerator(u.Sites()...).Profile(9)
+	dn = subscriber.DN(fresh.ID)
+	op, lo, hi = decode(&ldap.AddRequest{DN: dn, Attrs: fresh.ToEntry()}, dn)
+	add := op.(*ldap.AddRequest)
+	if res := b.Write([]ldap.WriteOp{{Kind: ldap.WriteAdd, DN: add.DN, Attrs: add.Attrs}}); res.Code != ldap.ResultSuccess {
+		t.Fatalf("add = %v", res)
+	}
+	checkRow(fresh.ID, lo, hi)
+}
+
 func TestLDAPBackendCompareMissing(t *testing.T) {
 	net, u, _ := testUDR(t, 1)
 	site := u.Sites()[0]
@@ -237,5 +331,48 @@ func TestPoALDAPCapacityTokens(t *testing.T) {
 	}
 	if elapsed := time.Since(start); elapsed < 20*time.Millisecond {
 		t.Fatalf("two ops with one server finished in %v; token model not limiting", elapsed)
+	}
+}
+
+// TestLDAPBackendSearchAllocs bounds what the LDAP backend adds to the
+// session read it wraps: a subtree search by MSISDN costs at most six
+// allocations more than the same read made on the session directly.
+func TestLDAPBackendSearchAllocs(t *testing.T) {
+	const site = "eu-south"
+	_, sess, profiles := cachedUDR(t, 64, 0, site)
+	backend := NewLDAPBackend(sess)
+	ctx := context.Background()
+	i := 0
+	read := func() {
+		p := profiles[i%len(profiles)]
+		i++
+		resp, err := sess.Exec(ctx, ExecReq{
+			Identity: subscriber.Identity{Type: subscriber.MSISDN, Value: p.MSISDNVal},
+			Ops:      []se.TxnOp{{Kind: se.TxnGet}}})
+		if err != nil || !resp.Results[0].Found {
+			t.Fatalf("read %s: %v", p.ID, err)
+		}
+	}
+	reqs := make([]*ldap.SearchRequest, len(profiles))
+	for j, p := range profiles {
+		reqs[j] = &ldap.SearchRequest{BaseDN: subscriber.BaseDN, Scope: ldap.ScopeWholeSubtree,
+			Filter: ldap.Eq(subscriber.AttrMSISDN, p.MSISDNVal)}
+	}
+	search := func() {
+		j := i % len(profiles)
+		i++
+		entries, res := backend.Search(reqs[j])
+		if res.Code != ldap.ResultSuccess || len(entries) != 1 || entries[0].Attrs[subscriber.AttrID][0] != profiles[j].ID {
+			t.Fatalf("search %s: %v %v", profiles[j].ID, res, entries)
+		}
+	}
+	for range profiles {
+		read() // fill the cache and the lazily built indexes
+	}
+	sessAllocs := testing.AllocsPerRun(4*len(profiles), read)
+	backendAllocs := testing.AllocsPerRun(4*len(profiles), search)
+	t.Logf("session read %.0f allocs, LDAP backend search %.0f", sessAllocs, backendAllocs)
+	if backendAllocs > sessAllocs+6 {
+		t.Errorf("LDAP backend search = %.0f allocs, want ≤ session read %.0f + 6", backendAllocs, sessAllocs)
 	}
 }

@@ -49,6 +49,7 @@ package fecache
 
 import (
 	"hash/maphash"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -573,11 +574,19 @@ func carries(e store.Entry, id subscriber.Identity) bool {
 }
 
 // learnLocked points via at rec in the alias index, provided rec's
-// image carries it. Caller holds rec's shard lock.
+// image carries it. The index keeps the image's copy of the value, not
+// the caller's, so the cache never pins memory a caller's string was
+// cut from (a decoded LDAP request). Caller holds rec's shard lock.
 func (c *Cache) learnLocked(rec *record, via subscriber.Identity) {
-	if via.Value == "" || !rec.found || !carries(rec.entry, via) {
+	if via.Value == "" || !rec.found {
 		return
 	}
+	vals := rec.entry[via.Type.Attr()]
+	i := slices.Index(vals, via.Value)
+	if i < 0 {
+		return
+	}
+	via.Value = vals[i]
 	st := c.stripe(via)
 	st.mu.Lock()
 	st.m[via] = rec.key

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"unsafe"
 
 	"repro/internal/store"
 	"repro/internal/subscriber"
@@ -127,6 +128,31 @@ func TestIdentityAliases(t *testing.T) {
 		t.Fatal("a non-identity attribute resolved")
 	}
 	checkAliasInvariant(t, c)
+}
+
+// TestAliasKeepsImageCopy: the alias index keys on the row image's
+// copy of the identity, so a caller's string cut from a larger buffer
+// (a decoded request) is not pinned by the cache.
+func TestAliasKeepsImageCopy(t *testing.T) {
+	c := boot(64)
+	e := ent("imsi-1")
+	request := "...imsi-1..." // the request the identity was cut from
+	c.Fill(part, 1, master, true, "k1", imsi(request[3:9]), e, meta(1), true)
+	c.Learn("k1", imsi(request[3:9]))
+	want := unsafe.StringData(e[subscriber.AttrIMSI][0])
+	n := 0
+	for i := range c.aliases {
+		for id := range c.aliases[i].m {
+			n++
+			if unsafe.StringData(id.Value) != want {
+				t.Errorf("alias %v does not share the image's string", id)
+			}
+		}
+	}
+	rec := c.shard("k1").idx["k1"]
+	if n != 1 || len(rec.aliases) != 1 || unsafe.StringData(rec.aliases[0].Value) != want {
+		t.Fatalf("aliases: %d indexed, record lists %v", n, rec.aliases)
+	}
 }
 
 // checkAliasInvariant asserts, under every lock of the cache, that

@@ -34,15 +34,15 @@ func NewClient(conn net.Conn) *Client {
 // caller's choice via Unbind).
 func (c *Client) Close() error { return c.conn.Close() }
 
-// roundTrip sends op and returns all responses bearing the same
-// message ID, stopping at the first non-SearchEntry response.
-func (c *Client) roundTrip(op any) ([]any, error) {
+// roundTrip sends op and reads the responses bearing its message ID.
+// Each SearchEntry is appended to *entries when entries is non-nil
+// (and dropped otherwise); the first other response is returned.
+func (c *Client) roundTrip(op any, entries *[]SearchEntry) (any, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	id := c.nextID
 	c.nextID++
-	msg := &Message{ID: id, Op: op}
-	buf, err := msg.AppendTo(c.wbuf[:0])
+	buf, err := appendMessage(c.wbuf[:0], id, op)
 	if err != nil {
 		return nil, err
 	}
@@ -50,35 +50,37 @@ func (c *Client) roundTrip(op any) ([]any, error) {
 	if _, err := c.conn.Write(buf); err != nil {
 		return nil, err
 	}
-	var out []any
 	for {
 		raw, err := ReadMessage(c.br)
 		if err != nil {
 			return nil, err
 		}
-		resp, err := Decode(raw)
+		respID, resp, err := decodeMessage(raw)
 		if err != nil {
 			return nil, err
 		}
-		if resp.ID != id {
-			return nil, fmt.Errorf("ldap: response ID %d for request %d", resp.ID, id)
+		if respID != id {
+			return nil, fmt.Errorf("ldap: response ID %d for request %d", respID, id)
 		}
-		out = append(out, resp.Op)
-		if _, isEntry := resp.Op.(*SearchEntry); !isEntry {
-			return out, nil
+		e, isEntry := resp.(*SearchEntry)
+		if !isEntry {
+			return resp, nil
+		}
+		if entries != nil {
+			*entries = append(*entries, *e)
 		}
 	}
 }
 
 // Bind authenticates with a simple bind.
 func (c *Client) Bind(dn, password string) (Result, error) {
-	resp, err := c.roundTrip(&BindRequest{Version: 3, DN: dn, Password: password})
+	resp, err := c.roundTrip(&BindRequest{Version: 3, DN: dn, Password: password}, nil)
 	if err != nil {
 		return Result{}, err
 	}
-	r, ok := resp[len(resp)-1].(*BindResponse)
+	r, ok := resp.(*BindResponse)
 	if !ok {
-		return Result{}, fmt.Errorf("ldap: unexpected bind response %T", resp[len(resp)-1])
+		return Result{}, fmt.Errorf("ldap: unexpected bind response %T", resp)
 	}
 	return r.Result, nil
 }
@@ -102,60 +104,53 @@ func (c *Client) Unbind() error {
 
 // Search runs a search and returns the entries plus the final result.
 func (c *Client) Search(req *SearchRequest) ([]SearchEntry, Result, error) {
-	resp, err := c.roundTrip(req)
+	var entries []SearchEntry
+	resp, err := c.roundTrip(req, &entries)
 	if err != nil {
 		return nil, Result{}, err
 	}
-	var entries []SearchEntry
-	for _, op := range resp[:len(resp)-1] {
-		e, ok := op.(*SearchEntry)
-		if !ok {
-			return nil, Result{}, fmt.Errorf("ldap: unexpected search response %T", op)
-		}
-		entries = append(entries, *e)
-	}
-	done, ok := resp[len(resp)-1].(*SearchDone)
+	done, ok := resp.(*SearchDone)
 	if !ok {
-		return nil, Result{}, fmt.Errorf("ldap: unexpected search terminator %T", resp[len(resp)-1])
+		return nil, Result{}, fmt.Errorf("ldap: unexpected search terminator %T", resp)
 	}
 	return entries, done.Result, nil
 }
 
 // Add creates an entry.
 func (c *Client) Add(dn string, attrs map[string][]string) (Result, error) {
-	resp, err := c.roundTrip(&AddRequest{DN: dn, Attrs: attrs})
+	resp, err := c.roundTrip(&AddRequest{DN: dn, Attrs: attrs}, nil)
 	if err != nil {
 		return Result{}, err
 	}
-	r, ok := resp[len(resp)-1].(*AddResponse)
+	r, ok := resp.(*AddResponse)
 	if !ok {
-		return Result{}, fmt.Errorf("ldap: unexpected add response %T", resp[len(resp)-1])
+		return Result{}, fmt.Errorf("ldap: unexpected add response %T", resp)
 	}
 	return r.Result, nil
 }
 
 // Modify applies attribute changes to an entry.
 func (c *Client) Modify(dn string, changes []Change) (Result, error) {
-	resp, err := c.roundTrip(&ModifyRequest{DN: dn, Changes: changes})
+	resp, err := c.roundTrip(&ModifyRequest{DN: dn, Changes: changes}, nil)
 	if err != nil {
 		return Result{}, err
 	}
-	r, ok := resp[len(resp)-1].(*ModifyResponse)
+	r, ok := resp.(*ModifyResponse)
 	if !ok {
-		return Result{}, fmt.Errorf("ldap: unexpected modify response %T", resp[len(resp)-1])
+		return Result{}, fmt.Errorf("ldap: unexpected modify response %T", resp)
 	}
 	return r.Result, nil
 }
 
 // Delete removes an entry.
 func (c *Client) Delete(dn string) (Result, error) {
-	resp, err := c.roundTrip(&DelRequest{DN: dn})
+	resp, err := c.roundTrip(&DelRequest{DN: dn}, nil)
 	if err != nil {
 		return Result{}, err
 	}
-	r, ok := resp[len(resp)-1].(*DelResponse)
+	r, ok := resp.(*DelResponse)
 	if !ok {
-		return Result{}, fmt.Errorf("ldap: unexpected delete response %T", resp[len(resp)-1])
+		return Result{}, fmt.Errorf("ldap: unexpected delete response %T", resp)
 	}
 	return r.Result, nil
 }
@@ -163,26 +158,26 @@ func (c *Client) Delete(dn string) (Result, error) {
 // Compare tests an attribute value; the result code is
 // ResultCompareTrue or ResultCompareFalse on success.
 func (c *Client) Compare(dn, attr, value string) (Result, error) {
-	resp, err := c.roundTrip(&CompareRequest{DN: dn, Attr: attr, Value: value})
+	resp, err := c.roundTrip(&CompareRequest{DN: dn, Attr: attr, Value: value}, nil)
 	if err != nil {
 		return Result{}, err
 	}
-	r, ok := resp[len(resp)-1].(*CompareResponse)
+	r, ok := resp.(*CompareResponse)
 	if !ok {
-		return Result{}, fmt.Errorf("ldap: unexpected compare response %T", resp[len(resp)-1])
+		return Result{}, fmt.Errorf("ldap: unexpected compare response %T", resp)
 	}
 	return r.Result, nil
 }
 
 // extendedCall runs one extended operation.
 func (c *Client) extendedCall(name string, value []byte) (Result, error) {
-	resp, err := c.roundTrip(&ExtendedRequest{Name: name, Value: value})
+	resp, err := c.roundTrip(&ExtendedRequest{Name: name, Value: value}, nil)
 	if err != nil {
 		return Result{}, err
 	}
-	r, ok := resp[len(resp)-1].(*ExtendedResponse)
+	r, ok := resp.(*ExtendedResponse)
 	if !ok {
-		return Result{}, fmt.Errorf("ldap: unexpected extended response %T", resp[len(resp)-1])
+		return Result{}, fmt.Errorf("ldap: unexpected extended response %T", resp)
 	}
 	return r.Result, nil
 }
@@ -190,13 +185,13 @@ func (c *Client) extendedCall(name string, value []byte) (Result, error) {
 // extendedCallFull runs one extended operation and returns the
 // response value as well.
 func (c *Client) extendedCallFull(name string, value []byte) (Result, []byte, error) {
-	resp, err := c.roundTrip(&ExtendedRequest{Name: name, Value: value})
+	resp, err := c.roundTrip(&ExtendedRequest{Name: name, Value: value}, nil)
 	if err != nil {
 		return Result{}, nil, err
 	}
-	r, ok := resp[len(resp)-1].(*ExtendedResponse)
+	r, ok := resp.(*ExtendedResponse)
 	if !ok {
-		return Result{}, nil, fmt.Errorf("ldap: unexpected extended response %T", resp[len(resp)-1])
+		return Result{}, nil, fmt.Errorf("ldap: unexpected extended response %T", resp)
 	}
 	return r.Result, r.Value, nil
 }

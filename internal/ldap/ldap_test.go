@@ -1,9 +1,14 @@
 package ldap
 
 import (
+	"bufio"
+	"errors"
+	"fmt"
 	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func msgRoundTrip(t *testing.T, op any) any {
@@ -384,5 +389,122 @@ func TestServerOverTCP(t *testing.T) {
 	}
 	if err := c.Unbind(); err != nil {
 		t.Fatalf("unbind: %v", err)
+	}
+}
+
+// countConn counts the Writes made on a connection.
+type countConn struct {
+	net.Conn
+	writes atomic.Int64
+}
+
+func (c *countConn) Write(b []byte) (int, error) {
+	c.writes.Add(1)
+	return c.Conn.Write(b)
+}
+
+// readReply reads one reply and checks its message ID.
+func readReply(t *testing.T, br *bufio.Reader, id int64) any {
+	t.Helper()
+	raw, err := ReadMessage(br)
+	if err != nil {
+		t.Fatalf("reply %d: %v", id, err)
+	}
+	msg, err := Decode(raw)
+	if err != nil {
+		t.Fatalf("reply %d: %v", id, err)
+	}
+	if msg.ID != id {
+		t.Fatalf("reply for message %d, want %d", msg.ID, id)
+	}
+	return msg.Op
+}
+
+// TestServerCoalescesPipelinedReplies: eight requests that arrive in
+// one segment are answered in order, with one Write.
+func TestServerCoalescesPipelinedReplies(t *testing.T) {
+	backend := newMapBackend()
+	backend.entries["uid=3"] = map[string][]string{"a": {"v"}}
+	cConn, sConn := net.Pipe()
+	defer cConn.Close()
+	counted := &countConn{Conn: sConn}
+	go func() { _ = NewServer(backend).ServeConn(counted) }()
+
+	var burst []byte
+	for id := int64(1); id <= 8; id++ {
+		var err error
+		burst, err = appendMessage(burst, id, &CompareRequest{DN: fmt.Sprintf("uid=%d", id), Attr: "a", Value: "v"})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := cConn.Write(burst); err != nil {
+		t.Fatal(err)
+	}
+	_ = cConn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	br := bufio.NewReader(cConn)
+	for id := int64(1); id <= 8; id++ {
+		resp, ok := readReply(t, br, id).(*CompareResponse)
+		want := ResultNoSuchObject
+		if id == 3 {
+			want = ResultCompareTrue
+		}
+		if !ok || resp.Code != want {
+			t.Fatalf("reply %d = %+v, want %v", id, resp, want)
+		}
+	}
+	if n := counted.writes.Load(); n != 1 {
+		t.Errorf("8 pipelined requests answered with %d writes, want 1", n)
+	}
+}
+
+// TestServerAnswersBeforeBlockingRead: a client that sends one whole
+// request and half of the next gets the first reply without sending
+// the rest.
+func TestServerAnswersBeforeBlockingRead(t *testing.T) {
+	cConn, sConn := net.Pipe()
+	defer cConn.Close()
+	go func() { _ = NewServer(newMapBackend()).ServeConn(sConn) }()
+
+	first, _ := appendMessage(nil, 1, &BindRequest{Version: 3})
+	second, _ := appendMessage(nil, 2, &BindRequest{Version: 3, DN: "cn=x", Password: "wrong"})
+	half := len(second) / 2
+	if _, err := cConn.Write(append(first, second[:half]...)); err != nil {
+		t.Fatal(err)
+	}
+	_ = cConn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	br := bufio.NewReader(cConn)
+	if r, ok := readReply(t, br, 1).(*BindResponse); !ok || r.Code != ResultSuccess {
+		t.Fatalf("first reply = %+v", r)
+	}
+	if _, err := cConn.Write(second[half:]); err != nil {
+		t.Fatal(err)
+	}
+	if r, ok := readReply(t, br, 2).(*BindResponse); !ok || r.Code != ResultInvalidCredentials {
+		t.Fatalf("second reply = %+v", r)
+	}
+}
+
+// TestServerSurvivesDeepFilter: a request with a filter nested 1.5 M
+// levels closes its own connection with a decode error; the server
+// goes on serving others.
+func TestServerSurvivesDeepFilter(t *testing.T) {
+	srv := NewServer(newMapBackend())
+	cConn, sConn := net.Pipe()
+	served := make(chan error, 1)
+	go func() { served <- srv.ServeConn(sConn) }()
+	go func() { _, _ = cConn.Write(deepFilterRequest(1_500_000)) }()
+	select {
+	case err := <-served:
+		if !errors.Is(err, ErrDecode) {
+			t.Fatalf("ServeConn = %v, want a decode error", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("server did not reject the request")
+	}
+	cConn.Close()
+	c := startPipe(t, newMapBackend())
+	if r, err := c.Bind("", ""); err != nil || r.Code != ResultSuccess {
+		t.Fatalf("bind after the hostile request: %v %v", r, err)
 	}
 }

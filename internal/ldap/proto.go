@@ -13,9 +13,6 @@ package ldap
 import (
 	"errors"
 	"fmt"
-	"sort"
-
-	"repro/internal/ber"
 )
 
 // Application protocol-op tags (RFC 4511 §4.1.1).
@@ -316,442 +313,4 @@ var ErrDecode = errors.New("ldap: malformed message")
 
 func decodeErr(format string, args ...any) error {
 	return fmt.Errorf("%w: %s", ErrDecode, fmt.Sprintf(format, args...))
-}
-
-// Encode serializes the message.
-func (m *Message) Encode() ([]byte, error) {
-	return m.AppendTo(nil)
-}
-
-// AppendTo appends the message's wire encoding to dst and returns the
-// extended slice. The server and client pass a reused per-connection
-// buffer here, so steady-state traffic pays no per-message output
-// buffer allocation.
-func (m *Message) AppendTo(dst []byte) ([]byte, error) {
-	env := ber.NewSequence()
-	env.Append(ber.NewInteger(m.ID))
-	op, err := encodeOp(m.Op)
-	if err != nil {
-		return nil, err
-	}
-	env.Append(op)
-	return env.AppendTo(dst), nil
-}
-
-func sortedAttrNames(attrs map[string][]string) []string {
-	names := make([]string, 0, len(attrs))
-	for a := range attrs {
-		names = append(names, a)
-	}
-	sort.Strings(names)
-	return names
-}
-
-func encodeAttrList(attrs map[string][]string) *ber.Packet {
-	list := ber.NewSequence()
-	for _, name := range sortedAttrNames(attrs) {
-		attr := ber.NewSequence()
-		attr.Append(ber.NewString(name))
-		set := ber.NewConstructed(ber.ClassUniversal, ber.TagSet)
-		for _, v := range attrs[name] {
-			set.Append(ber.NewString(v))
-		}
-		attr.Append(set)
-		list.Append(attr)
-	}
-	return list
-}
-
-func encodeResult(tag int, r Result) *ber.Packet {
-	p := ber.NewConstructed(ber.ClassApplication, tag)
-	p.Append(ber.NewEnumerated(int64(r.Code)))
-	p.Append(ber.NewString(r.MatchedDN))
-	p.Append(ber.NewString(r.Message))
-	return p
-}
-
-func encodeFilter(f Filter) (*ber.Packet, error) {
-	switch f.Kind {
-	case FilterAnd, FilterOr:
-		tag := 0
-		if f.Kind == FilterOr {
-			tag = 1
-		}
-		p := ber.NewConstructed(ber.ClassContext, tag)
-		for _, c := range f.Children {
-			cp, err := encodeFilter(c)
-			if err != nil {
-				return nil, err
-			}
-			p.Append(cp)
-		}
-		return p, nil
-	case FilterNot:
-		if len(f.Children) != 1 {
-			return nil, fmt.Errorf("ldap: NOT filter needs exactly one child")
-		}
-		p := ber.NewConstructed(ber.ClassContext, 2)
-		cp, err := encodeFilter(f.Children[0])
-		if err != nil {
-			return nil, err
-		}
-		return p.Append(cp), nil
-	case FilterEquality:
-		p := ber.NewConstructed(ber.ClassContext, 3)
-		p.Append(ber.NewString(f.Attr))
-		p.Append(ber.NewString(f.Value))
-		return p, nil
-	case FilterPresent:
-		return ber.NewPrimitive(ber.ClassContext, 7, []byte(f.Attr)), nil
-	}
-	return nil, fmt.Errorf("ldap: unsupported filter kind %d", f.Kind)
-}
-
-func encodeOp(op any) (*ber.Packet, error) {
-	switch o := op.(type) {
-	case *BindRequest:
-		p := ber.NewConstructed(ber.ClassApplication, appBindRequest)
-		p.Append(ber.NewInteger(o.Version))
-		p.Append(ber.NewString(o.DN))
-		p.Append(ber.NewPrimitive(ber.ClassContext, 0, []byte(o.Password)))
-		return p, nil
-	case *BindResponse:
-		return encodeResult(appBindResponse, o.Result), nil
-	case *UnbindRequest:
-		return ber.NewPrimitive(ber.ClassApplication, appUnbindRequest, nil), nil
-	case *SearchRequest:
-		p := ber.NewConstructed(ber.ClassApplication, appSearchRequest)
-		p.Append(ber.NewString(o.BaseDN))
-		p.Append(ber.NewEnumerated(o.Scope))
-		p.Append(ber.NewEnumerated(o.Deref))
-		p.Append(ber.NewInteger(o.SizeLimit))
-		p.Append(ber.NewInteger(o.TimeLimit))
-		p.Append(ber.NewBoolean(o.TypesOnly))
-		fp, err := encodeFilter(o.Filter)
-		if err != nil {
-			return nil, err
-		}
-		p.Append(fp)
-		attrs := ber.NewSequence()
-		for _, a := range o.Attributes {
-			attrs.Append(ber.NewString(a))
-		}
-		p.Append(attrs)
-		return p, nil
-	case *SearchEntry:
-		p := ber.NewConstructed(ber.ClassApplication, appSearchEntry)
-		p.Append(ber.NewString(o.DN))
-		p.Append(encodeAttrList(o.Attrs))
-		return p, nil
-	case *SearchDone:
-		return encodeResult(appSearchDone, o.Result), nil
-	case *ModifyRequest:
-		p := ber.NewConstructed(ber.ClassApplication, appModifyRequest)
-		p.Append(ber.NewString(o.DN))
-		changes := ber.NewSequence()
-		for _, c := range o.Changes {
-			ch := ber.NewSequence()
-			ch.Append(ber.NewEnumerated(int64(c.Op)))
-			attr := ber.NewSequence()
-			attr.Append(ber.NewString(c.Attr))
-			set := ber.NewConstructed(ber.ClassUniversal, ber.TagSet)
-			for _, v := range c.Vals {
-				set.Append(ber.NewString(v))
-			}
-			attr.Append(set)
-			ch.Append(attr)
-			changes.Append(ch)
-		}
-		p.Append(changes)
-		return p, nil
-	case *ModifyResponse:
-		return encodeResult(appModifyResponse, o.Result), nil
-	case *AddRequest:
-		p := ber.NewConstructed(ber.ClassApplication, appAddRequest)
-		p.Append(ber.NewString(o.DN))
-		p.Append(encodeAttrList(o.Attrs))
-		return p, nil
-	case *AddResponse:
-		return encodeResult(appAddResponse, o.Result), nil
-	case *DelRequest:
-		return ber.NewPrimitive(ber.ClassApplication, appDelRequest, []byte(o.DN)), nil
-	case *DelResponse:
-		return encodeResult(appDelResponse, o.Result), nil
-	case *CompareRequest:
-		p := ber.NewConstructed(ber.ClassApplication, appCompareRequest)
-		p.Append(ber.NewString(o.DN))
-		ava := ber.NewSequence()
-		ava.Append(ber.NewString(o.Attr))
-		ava.Append(ber.NewString(o.Value))
-		p.Append(ava)
-		return p, nil
-	case *CompareResponse:
-		return encodeResult(appCompareResponse, o.Result), nil
-	case *ExtendedRequest:
-		p := ber.NewConstructed(ber.ClassApplication, appExtendedRequest)
-		p.Append(ber.NewPrimitive(ber.ClassContext, 0, []byte(o.Name)))
-		if o.Value != nil {
-			p.Append(ber.NewPrimitive(ber.ClassContext, 1, o.Value))
-		}
-		return p, nil
-	case *ExtendedResponse:
-		p := encodeResult(appExtendedResponse, o.Result)
-		p.Append(ber.NewPrimitive(ber.ClassContext, 10, []byte(o.Name)))
-		if o.Value != nil {
-			p.Append(ber.NewPrimitive(ber.ClassContext, 11, o.Value))
-		}
-		return p, nil
-	}
-	return nil, fmt.Errorf("ldap: cannot encode op %T", op)
-}
-
-// Decode parses one LDAPMessage from buf.
-func Decode(buf []byte) (*Message, error) {
-	env, _, err := ber.Parse(buf)
-	if err != nil {
-		return nil, err
-	}
-	if env.Tag != ber.TagSequence || len(env.Children) < 2 {
-		return nil, decodeErr("envelope is not SEQUENCE{id, op}")
-	}
-	id, err := env.Child(0).Int()
-	if err != nil {
-		return nil, decodeErr("message ID: %v", err)
-	}
-	opp := env.Child(1)
-	if opp.Class != ber.ClassApplication {
-		return nil, decodeErr("op class %d", opp.Class)
-	}
-	op, err := decodeOp(opp)
-	if err != nil {
-		return nil, err
-	}
-	return &Message{ID: id, Op: op}, nil
-}
-
-func decodeResult(p *ber.Packet) (Result, error) {
-	if len(p.Children) < 3 {
-		return Result{}, decodeErr("result with %d children", len(p.Children))
-	}
-	code, err := p.Child(0).Int()
-	if err != nil {
-		return Result{}, decodeErr("result code: %v", err)
-	}
-	return Result{
-		Code:      ResultCode(code),
-		MatchedDN: p.Child(1).Str(),
-		Message:   p.Child(2).Str(),
-	}, nil
-}
-
-func decodeAttrList(p *ber.Packet) (map[string][]string, error) {
-	attrs := make(map[string][]string, len(p.Children))
-	for _, ap := range p.Children {
-		if len(ap.Children) != 2 {
-			return nil, decodeErr("attribute with %d children", len(ap.Children))
-		}
-		name := ap.Child(0).Str()
-		for _, vp := range ap.Child(1).Children {
-			attrs[name] = append(attrs[name], vp.Str())
-		}
-	}
-	return attrs, nil
-}
-
-func decodeFilter(p *ber.Packet) (Filter, error) {
-	if p.Class != ber.ClassContext {
-		return Filter{}, decodeErr("filter class %d", p.Class)
-	}
-	switch p.Tag {
-	case 0, 1: // and, or
-		kind := FilterAnd
-		if p.Tag == 1 {
-			kind = FilterOr
-		}
-		f := Filter{Kind: kind}
-		for _, c := range p.Children {
-			cf, err := decodeFilter(c)
-			if err != nil {
-				return Filter{}, err
-			}
-			f.Children = append(f.Children, cf)
-		}
-		return f, nil
-	case 2: // not
-		if len(p.Children) != 1 {
-			return Filter{}, decodeErr("NOT filter with %d children", len(p.Children))
-		}
-		cf, err := decodeFilter(p.Child(0))
-		if err != nil {
-			return Filter{}, err
-		}
-		return Filter{Kind: FilterNot, Children: []Filter{cf}}, nil
-	case 3: // equalityMatch
-		if len(p.Children) != 2 {
-			return Filter{}, decodeErr("equality filter with %d children", len(p.Children))
-		}
-		return Eq(p.Child(0).Str(), p.Child(1).Str()), nil
-	case 7: // present
-		return Present(string(p.Value)), nil
-	}
-	return Filter{}, decodeErr("unsupported filter tag %d", p.Tag)
-}
-
-func decodeOp(p *ber.Packet) (any, error) {
-	switch p.Tag {
-	case appBindRequest:
-		if len(p.Children) < 3 {
-			return nil, decodeErr("bind request")
-		}
-		ver, err := p.Child(0).Int()
-		if err != nil {
-			return nil, decodeErr("bind version: %v", err)
-		}
-		return &BindRequest{
-			Version:  ver,
-			DN:       p.Child(1).Str(),
-			Password: string(p.Child(2).Value),
-		}, nil
-	case appBindResponse:
-		r, err := decodeResult(p)
-		if err != nil {
-			return nil, err
-		}
-		return &BindResponse{r}, nil
-	case appUnbindRequest:
-		return &UnbindRequest{}, nil
-	case appSearchRequest:
-		if len(p.Children) < 8 {
-			return nil, decodeErr("search request with %d children", len(p.Children))
-		}
-		scope, err1 := p.Child(1).Int()
-		deref, err2 := p.Child(2).Int()
-		size, err3 := p.Child(3).Int()
-		tl, err4 := p.Child(4).Int()
-		tOnly, err5 := p.Child(5).Bool()
-		for _, err := range []error{err1, err2, err3, err4, err5} {
-			if err != nil {
-				return nil, decodeErr("search request field: %v", err)
-			}
-		}
-		f, err := decodeFilter(p.Child(6))
-		if err != nil {
-			return nil, err
-		}
-		var attrs []string
-		for _, ap := range p.Child(7).Children {
-			attrs = append(attrs, ap.Str())
-		}
-		return &SearchRequest{
-			BaseDN: p.Child(0).Str(), Scope: scope, Deref: deref,
-			SizeLimit: size, TimeLimit: tl, TypesOnly: tOnly,
-			Filter: f, Attributes: attrs,
-		}, nil
-	case appSearchEntry:
-		if len(p.Children) < 2 {
-			return nil, decodeErr("search entry")
-		}
-		attrs, err := decodeAttrList(p.Child(1))
-		if err != nil {
-			return nil, err
-		}
-		return &SearchEntry{DN: p.Child(0).Str(), Attrs: attrs}, nil
-	case appSearchDone:
-		r, err := decodeResult(p)
-		if err != nil {
-			return nil, err
-		}
-		return &SearchDone{r}, nil
-	case appModifyRequest:
-		if len(p.Children) < 2 {
-			return nil, decodeErr("modify request")
-		}
-		req := &ModifyRequest{DN: p.Child(0).Str()}
-		for _, cp := range p.Child(1).Children {
-			if len(cp.Children) != 2 || len(cp.Child(1).Children) != 2 {
-				return nil, decodeErr("modify change")
-			}
-			opv, err := cp.Child(0).Int()
-			if err != nil {
-				return nil, decodeErr("modify change op: %v", err)
-			}
-			ch := Change{Op: ChangeOp(opv), Attr: cp.Child(1).Child(0).Str()}
-			for _, vp := range cp.Child(1).Child(1).Children {
-				ch.Vals = append(ch.Vals, vp.Str())
-			}
-			req.Changes = append(req.Changes, ch)
-		}
-		return req, nil
-	case appModifyResponse:
-		r, err := decodeResult(p)
-		if err != nil {
-			return nil, err
-		}
-		return &ModifyResponse{r}, nil
-	case appAddRequest:
-		if len(p.Children) < 2 {
-			return nil, decodeErr("add request")
-		}
-		attrs, err := decodeAttrList(p.Child(1))
-		if err != nil {
-			return nil, err
-		}
-		return &AddRequest{DN: p.Child(0).Str(), Attrs: attrs}, nil
-	case appAddResponse:
-		r, err := decodeResult(p)
-		if err != nil {
-			return nil, err
-		}
-		return &AddResponse{r}, nil
-	case appDelRequest:
-		return &DelRequest{DN: string(p.Value)}, nil
-	case appDelResponse:
-		r, err := decodeResult(p)
-		if err != nil {
-			return nil, err
-		}
-		return &DelResponse{r}, nil
-	case appCompareRequest:
-		if len(p.Children) < 2 || len(p.Child(1).Children) != 2 {
-			return nil, decodeErr("compare request")
-		}
-		return &CompareRequest{
-			DN:    p.Child(0).Str(),
-			Attr:  p.Child(1).Child(0).Str(),
-			Value: p.Child(1).Child(1).Str(),
-		}, nil
-	case appCompareResponse:
-		r, err := decodeResult(p)
-		if err != nil {
-			return nil, err
-		}
-		return &CompareResponse{r}, nil
-	case appExtendedRequest:
-		req := &ExtendedRequest{}
-		for _, c := range p.Children {
-			switch c.Tag {
-			case 0:
-				req.Name = string(c.Value)
-			case 1:
-				req.Value = append([]byte(nil), c.Value...)
-			}
-		}
-		return req, nil
-	case appExtendedResponse:
-		r, err := decodeResult(p)
-		if err != nil {
-			return nil, err
-		}
-		resp := &ExtendedResponse{Result: r}
-		for _, c := range p.Children[3:] {
-			switch c.Tag {
-			case 10:
-				resp.Name = string(c.Value)
-			case 11:
-				resp.Value = append([]byte(nil), c.Value...)
-			}
-		}
-		return resp, nil
-	}
-	return nil, decodeErr("unsupported op tag %d", p.Tag)
 }

@@ -7,6 +7,8 @@ import (
 	"io"
 	"net"
 	"sync"
+
+	"repro/internal/ber"
 )
 
 // WriteKind enumerates the write operations a backend batch can hold.
@@ -34,6 +36,10 @@ type WriteOp struct {
 // Backend is the directory implementation behind a Server. The UDR
 // point of access implements it over the distributed core; tests
 // implement it over a plain map.
+//
+// Every string in a request is cut from one copy of the request
+// message (see Decode): a Backend that keeps a string past the call
+// clones it, or it keeps the whole message alive.
 type Backend interface {
 	// Bind authenticates a connection.
 	Bind(dn, password string) Result
@@ -97,8 +103,13 @@ func (s *Server) Close() {
 	}
 }
 
-// connState tracks per-connection transaction buffering.
-type connState struct {
+// conn is one served connection: its buffered reader, the replies
+// encoded but not yet written, and its transaction buffering.
+type conn struct {
+	s     *Server
+	nc    net.Conn
+	br    *bufio.Reader
+	wbuf  []byte
 	inTxn bool
 	txn   []WriteOp
 }
@@ -106,128 +117,147 @@ type connState struct {
 // ServeConn processes one connection until unbind, EOF or a protocol
 // error. Reads go through a per-connection bufio.Reader (one kernel
 // read per buffered chunk instead of several per BER header) and
-// responses are encoded into a reused per-connection write buffer.
-func (s *Server) ServeConn(conn net.Conn) error {
-	defer conn.Close()
-	st := &connState{}
-	br := bufio.NewReaderSize(conn, 4096)
-	var wbuf []byte
+// replies are encoded straight into a reused per-connection write
+// buffer. While the reader already holds the whole next request, the
+// replies wait in the buffer: a burst of pipelined requests is
+// answered with one Write, and a lone request is answered before the
+// read that waits for the next one.
+func (s *Server) ServeConn(nc net.Conn) error {
+	defer nc.Close()
+	c := &conn{s: s, nc: nc, br: bufio.NewReaderSize(nc, 4096)}
+	err := c.serve()
+	if werr := c.flush(); err == nil {
+		err = werr
+	}
+	return err
+}
+
+func (c *conn) serve() error {
 	for {
-		raw, err := ReadMessage(br)
+		if !c.requestBuffered() || len(c.wbuf) >= maxRetainedWriteBuf {
+			if err := c.flush(); err != nil {
+				return err
+			}
+		}
+		raw, err := ReadMessage(c.br)
 		if err != nil {
 			if errors.Is(err, io.EOF) || errors.Is(err, net.ErrClosed) {
 				return nil
 			}
 			return err
 		}
-		msg, err := Decode(raw)
+		id, op, err := decodeMessage(raw)
 		if err != nil {
 			return err
 		}
-		if _, ok := msg.Op.(*UnbindRequest); ok {
+		if _, ok := op.(*UnbindRequest); ok {
 			return nil
 		}
-		resp, err := s.dispatch(st, msg)
-		if err != nil {
+		if err := c.dispatch(id, op); err != nil {
 			return err
 		}
-		wbuf = wbuf[:0]
-		for _, r := range resp {
-			if wbuf, err = r.AppendTo(wbuf); err != nil {
-				return err
-			}
-		}
-		if len(wbuf) > 0 {
-			if _, err := conn.Write(wbuf); err != nil {
-				return err
-			}
-		}
-		// Don't let one large search burst pin its peak buffer for
-		// the connection's remaining lifetime.
-		if cap(wbuf) > maxRetainedWriteBuf {
-			wbuf = nil
-		}
 	}
 }
 
-// maxRetainedWriteBuf caps the response buffer capacity kept across
-// messages on one connection; bursts beyond it are released to the GC.
+// requestBuffered reports whether the reader holds a whole request,
+// so reading it cannot block.
+func (c *conn) requestBuffered() bool {
+	buf, _ := c.br.Peek(c.br.Buffered())
+	n, err := ber.ElementSize(buf)
+	return err == nil && n <= len(buf)
+}
+
+// flush writes the pending replies.
+func (c *conn) flush() error {
+	if len(c.wbuf) == 0 {
+		return nil
+	}
+	_, err := c.nc.Write(c.wbuf)
+	c.wbuf = c.wbuf[:0]
+	// Don't let one large search burst pin its peak buffer for the
+	// connection's remaining lifetime.
+	if cap(c.wbuf) > maxRetainedWriteBuf {
+		c.wbuf = nil
+	}
+	return err
+}
+
+// maxRetainedWriteBuf caps the reply buffer: replies are written once
+// this much is pending, and a larger buffer is released to the GC.
 const maxRetainedWriteBuf = 64 << 10
 
-func (s *Server) dispatch(st *connState, msg *Message) ([]*Message, error) {
-	reply := func(op any) []*Message {
-		return []*Message{{ID: msg.ID, Op: op}}
+// dispatch executes one request and encodes its replies.
+func (c *conn) dispatch(id int64, op any) error {
+	var err error
+	reply := func(op any) {
+		if err == nil {
+			c.wbuf, err = appendMessage(c.wbuf, id, op)
+		}
 	}
-	switch op := msg.Op.(type) {
+	b := c.s.backend
+	switch op := op.(type) {
 	case *BindRequest:
-		return reply(&BindResponse{s.backend.Bind(op.DN, op.Password)}), nil
+		reply(&BindResponse{b.Bind(op.DN, op.Password)})
 	case *SearchRequest:
-		entries, res := s.backend.Search(op)
-		out := make([]*Message, 0, len(entries)+1)
+		entries, res := b.Search(op)
 		for i := range entries {
-			out = append(out, &Message{ID: msg.ID, Op: &entries[i]})
+			reply(&entries[i])
 		}
-		out = append(out, &Message{ID: msg.ID, Op: &SearchDone{res}})
-		return out, nil
+		reply(&SearchDone{res})
 	case *CompareRequest:
-		return reply(&CompareResponse{s.backend.Compare(op.DN, op.Attr, op.Value)}), nil
+		reply(&CompareResponse{b.Compare(op.DN, op.Attr, op.Value)})
 	case *AddRequest:
-		w := WriteOp{Kind: WriteAdd, DN: op.DN, Attrs: op.Attrs}
-		if st.inTxn {
-			st.txn = append(st.txn, w)
-			return reply(&AddResponse{Result{Code: ResultSuccess, Message: "staged"}}), nil
-		}
-		return reply(&AddResponse{s.backend.Write([]WriteOp{w})}), nil
+		reply(&AddResponse{c.write(WriteOp{Kind: WriteAdd, DN: op.DN, Attrs: op.Attrs})})
 	case *ModifyRequest:
-		w := WriteOp{Kind: WriteModify, DN: op.DN, Changes: op.Changes}
-		if st.inTxn {
-			st.txn = append(st.txn, w)
-			return reply(&ModifyResponse{Result{Code: ResultSuccess, Message: "staged"}}), nil
-		}
-		return reply(&ModifyResponse{s.backend.Write([]WriteOp{w})}), nil
+		reply(&ModifyResponse{c.write(WriteOp{Kind: WriteModify, DN: op.DN, Changes: op.Changes})})
 	case *DelRequest:
-		w := WriteOp{Kind: WriteDelete, DN: op.DN}
-		if st.inTxn {
-			st.txn = append(st.txn, w)
-			return reply(&DelResponse{Result{Code: ResultSuccess, Message: "staged"}}), nil
-		}
-		return reply(&DelResponse{s.backend.Write([]WriteOp{w})}), nil
+		reply(&DelResponse{c.write(WriteOp{Kind: WriteDelete, DN: op.DN})})
 	case *ExtendedRequest:
-		return reply(s.extended(st, op)), nil
+		reply(c.extended(op))
 	default:
-		return reply(&ExtendedResponse{
-			Result: Result{Code: ResultProtocolError, Message: fmt.Sprintf("unsupported op %T", msg.Op)},
-		}), nil
+		reply(&ExtendedResponse{
+			Result: Result{Code: ResultProtocolError, Message: fmt.Sprintf("unsupported op %T", op)},
+		})
 	}
+	return err
 }
 
-func (s *Server) extended(st *connState, op *ExtendedRequest) *ExtendedResponse {
+// write executes w, or stages it inside an open transaction.
+func (c *conn) write(w WriteOp) Result {
+	if c.inTxn {
+		c.txn = append(c.txn, w)
+		return Result{Code: ResultSuccess, Message: "staged"}
+	}
+	return c.s.backend.Write([]WriteOp{w})
+}
+
+func (c *conn) extended(op *ExtendedRequest) *ExtendedResponse {
 	switch op.Name {
 	case OIDTxnBegin:
-		if st.inTxn {
+		if c.inTxn {
 			return &ExtendedResponse{Result: Result{Code: ResultOperationsError, Message: "transaction already open"}, Name: op.Name}
 		}
-		st.inTxn = true
-		st.txn = nil
+		c.inTxn = true
+		c.txn = nil
 		return &ExtendedResponse{Result: Result{Code: ResultSuccess}, Name: op.Name}
 	case OIDTxnCommit:
-		if !st.inTxn {
+		if !c.inTxn {
 			return &ExtendedResponse{Result: Result{Code: ResultOperationsError, Message: "no open transaction"}, Name: op.Name}
 		}
-		ops := st.txn
-		st.inTxn = false
-		st.txn = nil
+		ops := c.txn
+		c.inTxn = false
+		c.txn = nil
 		res := Result{Code: ResultSuccess}
 		if len(ops) > 0 {
-			res = s.backend.Write(ops)
+			res = c.s.backend.Write(ops)
 		}
 		return &ExtendedResponse{Result: res, Name: op.Name}
 	case OIDTxnAbort:
-		st.inTxn = false
-		st.txn = nil
+		c.inTxn = false
+		c.txn = nil
 		return &ExtendedResponse{Result: Result{Code: ResultSuccess}, Name: op.Name}
 	default:
-		if eb, ok := s.backend.(ExtendedBackend); ok {
+		if eb, ok := c.s.backend.(ExtendedBackend); ok {
 			res, value := eb.Extended(op.Name, op.Value)
 			return &ExtendedResponse{Result: res, Name: op.Name, Value: value}
 		}
