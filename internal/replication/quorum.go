@@ -2,7 +2,7 @@ package replication
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -133,56 +133,50 @@ func (r *Replica) QuorumSize() int {
 // and the current eligible (non-standby) peer set. For QuorumCount
 // and QuorumMajority the requirement is geography-blind and returned
 // entirely in needLocal's place via needRemote=0 semantics — callers
-// that need the split use eligibleLocked.
+// that need the split read eligLocal and eligRemote.
 func (r *Replica) requiredAcksLocked() (needLocal, needRemote int) {
-	local, remote := r.eligibleLocked()
+	local, remote := len(r.eligLocal), len(r.eligRemote)
 	switch r.policy.Mode {
 	case QuorumCount:
-		k := r.policy.K
-		if n := len(local) + len(remote); k > n {
-			k = n
-		}
-		return k, 0
+		return min(r.policy.K, local+remote), 0
 	case QuorumSiteAware:
-		nl := r.policy.Local - 1 // the master is one local copy
-		if nl < 0 {
-			nl = 0
-		}
-		if nl > len(local) {
-			nl = len(local)
-		}
-		nr := r.policy.Remote
-		if nr > len(remote) {
-			nr = len(remote)
-		}
-		return nl, nr
+		// The master is one local copy.
+		return min(max(r.policy.Local-1, 0), local), min(r.policy.Remote, remote)
 	default: // QuorumMajority
-		n := len(local) + len(remote) + 1 // all copies, master included
-		return n/2 + 1 - 1, 0             // majority minus the master's own vote
+		n := local + remote + 1 // all copies, master included
+		return n/2 + 1 - 1, 0   // majority minus the master's own vote
 	}
 }
 
-// eligibleLocked splits the non-standby senders by geography relative
-// to the master's site, in peer order.
-func (r *Replica) eligibleLocked() (local, remote []*sender) {
+// rebuildEligibleLocked recomputes the cached eligible (non-standby)
+// senders, split by geography relative to the master's site and
+// combined, each in peer order. It runs wherever the peer set changes,
+// so the quorum refresh on every ack reads the split without
+// allocating. The slices are always fresh: a synchronous commit keeps
+// the combined list it captured, unchanged by a later peer change.
+func (r *Replica) rebuildEligibleLocked() {
 	site := r.node.addr.Site()
+	var local, remote, all []*sender
 	for _, p := range r.peers {
 		s, ok := r.senders[p]
 		if !ok || s.standby {
 			continue
 		}
+		all = append(all, s)
 		if p.Site() == site {
 			local = append(local, s)
 		} else {
 			remote = append(remote, s)
 		}
 	}
-	return local, remote
+	r.eligLocal, r.eligRemote, r.eligible = local, remote, all
 }
 
 // kthAcked returns the k-th highest acknowledged CSN among the
 // senders — the highest CSN at least k of them have confirmed. k=0
 // imposes no constraint (reported as ^uint64(0), for min-combining).
+// The CSNs are collected on the stack; only more than 16 senders
+// spill to the heap.
 func kthAcked(senders []*sender, k int) uint64 {
 	if k <= 0 {
 		return ^uint64(0)
@@ -190,31 +184,35 @@ func kthAcked(senders []*sender, k int) uint64 {
 	if k > len(senders) {
 		return 0
 	}
-	acked := make([]uint64, 0, len(senders))
+	var buf [16]uint64
+	acked := buf[:0]
 	for _, s := range senders {
 		acked = append(acked, s.ackedCSN())
 	}
-	sort.Slice(acked, func(i, j int) bool { return acked[i] > acked[j] })
-	return acked[k-1]
+	slices.Sort(acked)
+	return acked[len(acked)-k]
 }
 
 // refreshQuorumLocked recomputes the quorum watermark from the current
-// acknowledgement state and wakes any commit waiting on it. Called
-// under r.mu whenever an ack arrives or the peer set / policy changes.
+// acknowledgement state and wakes every commit waiting on an ack.
+// Called under r.mu whenever an ack arrives or the peer set / policy
+// changes; it allocates nothing.
 func (r *Replica) refreshQuorumLocked() {
+	// Wake waiters first, whatever the role: the synchronous levels wait
+	// on this signal for their own sender list, not the watermark.
+	if r.ackCh != nil {
+		close(r.ackCh)
+		r.ackCh = nil
+	}
 	if r.store.MultiMaster() || r.store.Role() != store.Master {
 		return
 	}
+	needLocal, needRemote := r.requiredAcksLocked()
 	var wm uint64
-	switch r.policy.Mode {
-	case QuorumSiteAware:
-		local, remote := r.eligibleLocked()
-		needLocal, needRemote := r.requiredAcksLocked()
-		wm = minU64(kthAcked(local, needLocal), kthAcked(remote, needRemote))
-	default:
-		local, remote := r.eligibleLocked()
-		need, _ := r.requiredAcksLocked()
-		wm = kthAcked(append(local, remote...), need)
+	if r.policy.Mode == QuorumSiteAware {
+		wm = min(kthAcked(r.eligLocal, needLocal), kthAcked(r.eligRemote, needRemote))
+	} else {
+		wm = kthAcked(r.eligible, needLocal)
 	}
 	if head := r.headCSN.Load(); wm > head {
 		// No peer requirement (or acks racing ahead of the stage):
@@ -224,17 +222,6 @@ func (r *Replica) refreshQuorumLocked() {
 	if wm > r.quorumWM {
 		r.quorumWM = wm
 	}
-	if r.ackCh != nil {
-		close(r.ackCh)
-		r.ackCh = nil
-	}
-}
-
-func minU64(a, b uint64) uint64 {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // noteAck is called by a sender (outside its own lock) after its

@@ -166,9 +166,13 @@ type Replica struct {
 	peers      []simnet.Addr
 	senders    map[simnet.Addr]*sender
 	resolver   Resolver
+	// eligLocal, eligRemote and eligible cache the non-standby
+	// senders split by site and combined (rebuildEligibleLocked).
+	eligLocal, eligRemote, eligible []*sender
 
 	// quorumWM is the highest CSN satisfying the quorum policy; ackCh
-	// (lazily created) is closed whenever it may have advanced.
+	// (lazily created) is closed on every acknowledgement and peer-set
+	// or policy change.
 	quorumWM uint64
 	ackCh    chan struct{}
 	// headCSN mirrors the highest CSN staged through commitPipeline.
@@ -358,6 +362,7 @@ func (r *Replica) SetPeers(peers ...simnet.Addr) {
 	for _, p := range r.peers {
 		r.senders[p] = newSender(r, p)
 	}
+	r.rebuildEligibleLocked()
 	r.refreshQuorumLocked()
 }
 
@@ -385,6 +390,7 @@ func (r *Replica) AddStandbyPeer(p simnet.Addr) {
 	s := newSender(r, p)
 	s.standby = true
 	r.senders[p] = s
+	r.rebuildEligibleLocked()
 }
 
 // RemovePeer detaches one replication target, stopping its sender and
@@ -403,6 +409,7 @@ func (r *Replica) RemovePeer(p simnet.Addr) {
 			break
 		}
 	}
+	r.rebuildEligibleLocked()
 	// Shrinking the peer set can complete a pending quorum (a dead
 	// peer no longer counts toward n): re-evaluate and wake waiters.
 	r.refreshQuorumLocked()
@@ -426,6 +433,7 @@ func (r *Replica) stopSendersLocked() {
 		s.stop()
 		delete(r.senders, a)
 	}
+	r.rebuildEligibleLocked()
 }
 
 // Lag returns, per peer, how many committed records have not yet been
@@ -486,8 +494,8 @@ func (r *Replica) CommitPipeline(rec *store.CommitRecord) (wait func() error, er
 
 // commitPipeline runs under the store's commit lock for every local
 // commit. It enqueues the record to every peer — that is the ordered
-// part — and, for DualSeq and SyncAll, returns a wait that blocks
-// until the required replicas acknowledge. Waiting outside the
+// part — and, for DualSeq, SyncAll and Quorum, returns a wait that
+// blocks until the required replicas acknowledge. Waiting outside the
 // commit lock lets concurrent synchronous commits overlap their
 // replication round trips instead of serializing them.
 func (r *Replica) commitPipeline(rec *store.CommitRecord) (func() error, error) {
@@ -521,135 +529,141 @@ func (r *Replica) commitPipeline(rec *store.CommitRecord) (func() error, error) 
 	}
 	r.Shipped.Inc()
 	var senders []*sender
-	quorumDone := false
+	wait := false
 	switch {
 	case mm || durability == Async:
 	case durability == Quorum:
 		// The quorum wait rides the watermark, not a fixed sender
 		// list, so peers added or removed mid-wait are accounted for.
+		// With no eligible peers (single-copy partition, or every peer
+		// standby) the local commit is the whole quorum.
 		if nl, nr := r.requiredAcksLocked(); nl+nr == 0 {
-			// No eligible peers (single-copy partition, or every peer
-			// standby): the local commit is the whole quorum.
-			if rec.CSN > r.quorumWM {
-				r.quorumWM = rec.CSN
-			}
-			quorumDone = true
+			r.quorumWM = max(r.quorumWM, rec.CSN)
+		} else {
+			wait = true
 		}
 	default:
-		senders = make([]*sender, 0, len(r.peers))
-		for _, p := range r.peers {
-			// Standby peers (a migration target mid-bulk-copy) never
-			// gate commit durability: their stream is gap-stuck until
-			// the copy primes their watermark.
-			if s, ok := r.senders[p]; ok && !s.standby {
-				senders = append(senders, s)
-			}
+		// DualSeq and SyncAll wait on the eligible senders fixed at
+		// commit time, in peer order (first peer first, matching §5's
+		// dual-in-sequence description). Standby peers (a migration
+		// target mid-bulk-copy) never gate commit durability: their
+		// stream is gap-stuck until the copy primes their watermark.
+		senders = r.eligible
+		if durability == DualSeq && len(senders) > 1 {
+			senders = senders[:1]
 		}
+		wait = len(senders) > 0
 	}
 	r.mu.Unlock()
-
-	if !mm && durability == Quorum && !quorumDone {
-		return r.quorumWait(rec, tr, traceStart), nil
-	}
-	if len(senders) == 0 {
+	if !wait {
 		return nil, nil
 	}
 
-	// Synchronous durability: wait for the required number of peers
-	// to acknowledge this CSN, in sequence (first peer first),
-	// matching §5's dual-in-sequence description.
-	need := 1
-	if durability == SyncAll {
-		need = len(senders)
-	}
-	timeout := r.node.CallTimeout
 	csn := rec.CSN
 	tc := rec.Trace
 	if !traced {
 		tr = nil
 	}
-	elem := string(r.node.addr)
-	mode := durability.String()
 	return func() error {
-		deadline := time.Now().Add(timeout)
-		var werr error
-	wait:
-		for i := 0; i < need; i++ {
-			s := senders[i]
-			for s.ackedCSN() < csn {
-				if time.Now().After(deadline) {
-					werr = fmt.Errorf("%w: peer %s did not confirm CSN %d (%s)",
-						ErrDurability, s.peer, csn, durability)
-					break wait
-				}
-				time.Sleep(100 * time.Microsecond)
-			}
-		}
-		tr.RecordSpan(tc, "repl.ackwait", elem, traceStart,
-			time.Since(traceStart), werr, trace.Attr{Key: "mode", Value: mode})
-		return werr
+		return r.awaitAcks(csn, senders, durability, tc, tr, traceStart)
 	}, nil
 }
 
-// quorumWait builds the wait closure for a Quorum commit: block until
-// the quorum watermark covers csn (event-driven — senders wake it on
-// every acknowledgement) or the durability deadline expires. On
-// timeout the commit returns ErrDurability but the record stays
-// applied locally and keeps shipping; a late quorum still advances the
-// watermark.
-func (r *Replica) quorumWait(rec *store.CommitRecord, tr *trace.Recorder, enq time.Time) func() error {
-	timeout := r.node.CallTimeout
-	csn := rec.CSN
-	tc := rec.Trace
-	if tr != nil && !tc.Sampled {
-		tr = nil
-	}
-	done := func(start time.Time, err error) error {
-		if err == nil {
-			d := time.Since(start)
-			r.AckWait.Record(d)
-			if tr != nil {
-				r.AckWait.SetExemplar(d, tc.Trace.String())
+// ackTimers recycles the deadline timers of durability waits. Go 1.23
+// timers may be stopped and reset without draining their channel, so
+// a pooled timer never delivers a stale tick.
+var ackTimers sync.Pool
+
+// awaitAcks blocks a synchronous commit until csn is durable at its
+// level or the durability deadline (CallTimeout) expires. Quorum waits
+// for the quorum watermark to cover csn (senders is nil); DualSeq and
+// SyncAll wait for every sender in the list captured at commit time.
+// Senders wake it on every acknowledgement through ackSignal, and one
+// pooled timer bounds the whole wait. On timeout the commit returns
+// ErrDurability but the record stays applied locally and keeps
+// shipping; a late quorum still advances the watermark.
+//
+// The repl.ackwait span runs from replication enqueue (shared with the
+// per-peer send watches) to now, so its duration dominates every
+// counted peer's send span by construction.
+func (r *Replica) awaitAcks(csn uint64, senders []*sender, durability Durability,
+	tc trace.Ctx, tr *trace.Recorder, enq time.Time) error {
+	start := time.Now()
+	var timer *time.Timer
+	expired := false
+	for !expired && !r.acked(csn, senders) {
+		if timer == nil {
+			if t, ok := ackTimers.Get().(*time.Timer); ok {
+				timer = t
+				timer.Reset(r.node.CallTimeout)
+			} else {
+				timer = time.NewTimer(r.node.CallTimeout)
 			}
 		}
-		// The span window runs from replication enqueue (shared with the
-		// per-peer send watches) to now, so its duration dominates
-		// every counted peer's send span by construction. "need" is the
-		// peer-ack requirement, letting verifiers pick the counted set
-		// (the need fastest sends) out of the recorded siblings.
+		ch := r.ackSignal()
+		// Re-check after subscribing: an ack between the check and the
+		// subscription would otherwise be missed.
+		if r.acked(csn, senders) {
+			break
+		}
+		select {
+		case <-ch:
+		case <-timer.C:
+			expired = true
+		}
+	}
+	if timer != nil {
+		timer.Stop()
+		ackTimers.Put(timer)
+	}
+	var err error
+	if expired && !r.acked(csn, senders) {
+		err = r.durabilityErr(csn, senders, durability)
+	}
+	if durability == Quorum && err == nil {
+		d := time.Since(start)
+		r.AckWait.Record(d)
 		if tr != nil {
-			tr.RecordSpan(tc, "repl.ackwait", string(r.node.addr), enq,
-				time.Since(enq), err, trace.Attr{Key: "mode", Value: "quorum"},
-				trace.Attr{Key: "need", Value: fmt.Sprint(r.QuorumSize() - 1)})
-		}
-		return err
-	}
-	return func() error {
-		start := time.Now()
-		deadline := start.Add(timeout)
-		for {
-			if r.QuorumWatermark() >= csn {
-				return done(start, nil)
-			}
-			ch := r.ackSignal()
-			// Re-check after subscribing: an ack between the check and
-			// the subscription would otherwise be missed.
-			if r.QuorumWatermark() >= csn {
-				return done(start, nil)
-			}
-			remain := time.Until(deadline)
-			if remain <= 0 {
-				return done(start, fmt.Errorf("%w: quorum (%s) not reached for CSN %d",
-					ErrDurability, r.QuorumPolicy(), csn))
-			}
-			t := time.NewTimer(remain)
-			select {
-			case <-ch:
-				t.Stop()
-			case <-t.C:
-			}
+			r.AckWait.SetExemplar(d, tc.Trace.String())
 		}
 	}
+	if tr != nil {
+		attrs := []trace.Attr{{Key: "mode", Value: durability.String()}}
+		if durability == Quorum {
+			// "need" is the peer-ack requirement, letting verifiers pick
+			// the counted set (the need fastest sends) out of the
+			// recorded siblings.
+			attrs = append(attrs, trace.Attr{Key: "need", Value: fmt.Sprint(r.QuorumSize() - 1)})
+		}
+		tr.RecordSpan(tc, "repl.ackwait", string(r.node.addr), enq, time.Since(enq), err, attrs...)
+	}
+	return err
+}
+
+// acked reports whether csn is durable: covered by the quorum
+// watermark (nil senders) or acknowledged by every listed sender.
+func (r *Replica) acked(csn uint64, senders []*sender) bool {
+	if senders == nil {
+		return r.QuorumWatermark() >= csn
+	}
+	for _, s := range senders {
+		if s.ackedCSN() < csn {
+			return false
+		}
+	}
+	return true
+}
+
+// durabilityErr describes a commit whose durability deadline expired.
+func (r *Replica) durabilityErr(csn uint64, senders []*sender, durability Durability) error {
+	for _, s := range senders {
+		if s.ackedCSN() < csn {
+			return fmt.Errorf("%w: peer %s did not confirm CSN %d (%s)",
+				ErrDurability, s.peer, csn, durability)
+		}
+	}
+	return fmt.Errorf("%w: quorum (%s) not reached for CSN %d",
+		ErrDurability, r.QuorumPolicy(), csn)
 }
 
 // WaitQuorum blocks until the quorum watermark reaches the master's

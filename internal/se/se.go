@@ -910,15 +910,13 @@ func (e *Element) applyTxnInner(from simnet.Addr, req TxnReq) (TxnResp, error) {
 		var res OpResult
 		switch op.Kind {
 		case TxnGet:
-			entry, found := txn.Get(op.Key)
-			var m store.Meta
-			if found {
-				_, m, _ = pr.Store.GetCommitted(op.Key)
-			}
+			// One read yields entry and meta: a second lookup for the
+			// meta could see a later commit and pair it with this image.
+			entry, m, found := txn.Get(op.Key)
 			res = OpResult{Entry: entry, Meta: m, Found: found}
 			e.Reads.Inc()
 		case TxnCompare:
-			entry, found := txn.Get(op.Key)
+			entry, _, found := txn.Get(op.Key)
 			res.Found = found
 			if found {
 				for _, v := range entry[op.Attr] {

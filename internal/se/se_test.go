@@ -535,3 +535,65 @@ func TestReplicaFootprint(t *testing.T) {
 	}
 	runtime.KeepAlive(pr)
 }
+
+// TestTxnGetEntryMetaConsistent: a TxnGet's entry and meta describe
+// one row version even while commits land on the key. A writer keeps
+// replacing v with the CSN its commit will get; every read must return
+// v equal to its meta's CSN. Reading the entry and then the meta in two
+// lookups tears under this load (an old image with a newer CSN), which
+// an FE cache would install over the PoA's own write-through.
+func TestTxnGetEntryMetaConsistent(t *testing.T) {
+	n := simnet.New(simnet.FastConfig())
+	el := newElement(t, n, "se-1", "eu")
+	pr, err := el.AddReplica("p1", store.Master)
+	if err != nil {
+		t.Fatal(err)
+	}
+	write := func() error {
+		v := fmt.Sprint(pr.Store.CSN() + 1) // the only writer: the next CSN is ours
+		_, err := el.applyTxnInner("", TxnReq{Partition: "p1", Ops: []TxnOp{{
+			Kind: TxnModify, Key: "k",
+			Mods: []store.Mod{{Kind: store.ModReplace, Attr: "v", Vals: []string{v}}},
+		}}})
+		return err
+	}
+	if err := write(); err != nil {
+		t.Fatal(err)
+	}
+	stop := make(chan struct{})
+	done := make(chan error, 1)
+	go func() {
+		for {
+			select {
+			case <-stop:
+				done <- nil
+				return
+			default:
+			}
+			if err := write(); err != nil {
+				done <- err
+				return
+			}
+		}
+	}()
+	const reads = 200_000
+	torn := 0
+	get := TxnReq{Partition: "p1", Ops: []TxnOp{{Kind: TxnGet, Key: "k"}}}
+	for i := 0; i < reads; i++ {
+		resp, err := el.applyTxnInner("", get)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res := resp.Results[0]
+		if !res.Found || res.Entry.First("v") != fmt.Sprint(res.Meta.CSN) {
+			torn++
+		}
+	}
+	close(stop)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if torn > 0 {
+		t.Fatalf("%d of %d reads paired an entry with another version's meta", torn, reads)
+	}
+}

@@ -2,6 +2,7 @@ package store
 
 import (
 	"fmt"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -198,6 +199,102 @@ func TestReplicaConvergenceProperty(t *testing.T) {
 		return slave.AppliedCSN() == master.CSN()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// modStep is one generated modification in the post-image
+// immutability property test.
+type modStep struct {
+	Kind uint8 // %3: add, replace, delete
+	Attr uint8 // %4 attrs, a3 absent from the seeded row
+	Vals uint8 // %3 values (0: a value-less replace or delete)
+	Val  uint8 // %4: overlaps the seeded values
+	Read bool  // also hold an open Txn's image of another mod
+}
+
+// TestPostImageImmutableProperty: modify post-images share value
+// slices with the version they replace, so a mod must never write into
+// a slice it did not allocate. The row is seeded with slices that have
+// spare capacity — where an in-place append would land — and commits
+// arbitrary modifies while readers hold every previous image and scan
+// it concurrently (run under -race, a write into a shared slice is a
+// reported race), and while open transactions hold images of other
+// mods built from the same versions. Every held image must still
+// equal the copy taken when it was read.
+func TestPostImageImmutableProperty(t *testing.T) {
+	f := func(steps []modStep) bool {
+		s := New("prop")
+		seed := Entry{}
+		for a := 0; a < 3; a++ {
+			vs := make([]string, 2, 8)
+			vs[0], vs[1] = "v0", fmt.Sprint("v", a+1)
+			seed[fmt.Sprintf("a%d", a)] = vs
+		}
+		s.PutOwned("k", seed, Meta{CSN: 1})
+
+		stop := make(chan struct{})
+		var wg sync.WaitGroup
+		defer wg.Wait()
+		defer close(stop)
+		for i := 0; i < 2; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				n := 0
+				for {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					e, _, _ := s.GetCommitted("k")
+					for _, vs := range e {
+						for _, v := range vs {
+							n += len(v)
+						}
+					}
+				}
+			}()
+		}
+
+		type held struct{ img, want Entry }
+		var hs []held
+		for _, st := range steps {
+			img, _, _ := s.GetCommitted("k")
+			hs = append(hs, held{img, img.Clone()})
+			m := Mod{Kind: ModKind(st.Kind % 3), Attr: fmt.Sprintf("a%d", st.Attr%4)}
+			for i := 0; i < int(st.Vals%3); i++ {
+				m.Vals = append(m.Vals, fmt.Sprint("v", (int(st.Val)+i)%4))
+			}
+			if st.Read {
+				// An open transaction's view of a different mod is an
+				// image built from the same version as the commit below.
+				alt := Mod{Kind: m.Kind, Attr: m.Attr}
+				for _, v := range m.Vals {
+					alt.Vals = append(alt.Vals, v+"'")
+				}
+				peek := s.Begin(ReadCommitted)
+				peek.Modify("k", alt)
+				if img, _, ok := peek.Get("k"); ok {
+					hs = append(hs, held{img, img.Clone()})
+				}
+				peek.Abort()
+			}
+			txn := s.Begin(ReadCommitted)
+			txn.Modify("k", m)
+			if _, err := txn.Commit(); err != nil {
+				return false
+			}
+		}
+		for _, h := range hs {
+			if !h.img.Equal(h.want) {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
 }

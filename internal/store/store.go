@@ -39,6 +39,8 @@ package store
 import (
 	"errors"
 	"fmt"
+	"maps"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -131,38 +133,56 @@ type Mod struct {
 	Vals []string
 }
 
-// apply mutates e in place according to the modification.
+// apply applies the modification to e. e may be a shallow post-image
+// sharing value slices with the installed version it was copied from
+// (modifyImage), so apply only ever replaces an attribute's slice and
+// never writes into one it did not allocate. Attribute names go
+// through Intern, the same as in a compact clone.
 func (m Mod) apply(e Entry) {
+	attr := Intern(m.Attr)
 	switch m.Kind {
 	case ModAdd:
-		e[m.Attr] = append(e[m.Attr], m.Vals...)
+		// The clamped capacity makes append copy instead of writing
+		// past the end of a shared slice.
+		old := e[attr]
+		e[attr] = append(old[:len(old):len(old)], m.Vals...)
 	case ModReplace:
 		if len(m.Vals) == 0 {
-			delete(e, m.Attr)
+			delete(e, attr)
 		} else {
-			e[m.Attr] = append([]string(nil), m.Vals...)
+			e[attr] = append([]string(nil), m.Vals...)
 		}
 	case ModDelete:
 		if len(m.Vals) == 0 {
-			delete(e, m.Attr)
+			delete(e, attr)
 			return
 		}
-		drop := make(map[string]bool, len(m.Vals))
-		for _, v := range m.Vals {
-			drop[v] = true
-		}
-		kept := e[m.Attr][:0]
-		for _, v := range e[m.Attr] {
-			if !drop[v] {
+		var kept []string
+		for _, v := range e[attr] {
+			if !slices.Contains(m.Vals, v) {
 				kept = append(kept, v)
 			}
 		}
 		if len(kept) == 0 {
-			delete(e, m.Attr)
+			delete(e, attr)
 		} else {
-			e[m.Attr] = kept
+			e[attr] = kept
 		}
 	}
+}
+
+// modifyImage returns the post-image of mods applied over base (nil
+// for an absent row) without touching base. The copy is shallow: the
+// result shares base's value slices and only the attributes a mod
+// touches get new ones, so a one-attribute modify of a wide row costs
+// a map, not a re-interned and re-packed clone of every value.
+func modifyImage(base Entry, mods []Mod) Entry {
+	out := make(Entry, len(base)+1)
+	maps.Copy(out, base)
+	for _, m := range mods {
+		m.apply(out)
+	}
+	return out
 }
 
 // OpKind is the kind of a committed write operation.
@@ -680,9 +700,9 @@ type writeOp struct {
 }
 
 // txnInlineWrites is the write-set size a Txn holds without any
-// heap allocation beyond the Txn itself. Signaling transactions —
-// location updates, SQN advances — touch one or two rows; only bulk
-// provisioning batches spill.
+// heap allocation. Signaling transactions — location updates, SQN
+// advances — touch one or two rows; only bulk provisioning batches
+// spill.
 const txnInlineWrites = 4
 
 // txnIndexThreshold is the write-set size at which key lookup
@@ -693,16 +713,20 @@ const txnIndexThreshold = 9
 // use by multiple goroutines (matching the one-session-one-txn model
 // of the LDAP front end).
 //
-// The write-set is an ordered slice (commit order = staging order)
-// backed by inline storage: the common one-row signaling transaction
-// costs a single allocation for the Txn itself. Lookups scan
-// linearly until the set grows large enough to justify a map index.
+// The write-set is ordered (commit order = staging order): the first
+// txnInlineWrites writes sit in inline storage, the rest in spill.
+// The Txn holds no pointer into itself, so a caller that keeps it
+// local gets it on the stack: the common one-row transaction — read
+// or write — allocates nothing for the Txn. Lookups scan linearly
+// until the set grows large enough to justify a map index.
 type Txn struct {
-	s      *Store
-	iso    Isolation
-	writes []writeOp
+	s   *Store
+	iso Isolation
+	// n counts the buffered writes across inline and spill.
+	n      int
 	inline [txnInlineWrites]writeOp
-	// idx maps key → writes index, built once the write-set outgrows
+	spill  []writeOp
+	// idx maps key → write index, built once the write-set outgrows
 	// a linear scan.
 	idx  map[string]int
 	done bool
@@ -717,22 +741,28 @@ func (t *Txn) SetTrace(tc trace.Ctx) { t.tr = tc }
 
 // Begin starts a transaction at the given isolation level.
 func (s *Store) Begin(iso Isolation) *Txn {
-	t := &Txn{s: s, iso: iso}
-	t.writes = t.inline[:0]
-	return t
+	return &Txn{s: s, iso: iso}
+}
+
+// write returns the i-th buffered write in staging order.
+func (t *Txn) write(i int) *writeOp {
+	if i < txnInlineWrites {
+		return &t.inline[i]
+	}
+	return &t.spill[i-txnInlineWrites]
 }
 
 // lookup returns the buffered write for key, or nil.
 func (t *Txn) lookup(key string) *writeOp {
 	if t.idx != nil {
 		if i, ok := t.idx[key]; ok {
-			return &t.writes[i]
+			return t.write(i)
 		}
 		return nil
 	}
-	for i := range t.writes {
-		if t.writes[i].key == key {
-			return &t.writes[i]
+	for i := 0; i < t.n; i++ {
+		if w := t.write(i); w.key == key {
+			return w
 		}
 	}
 	return nil
@@ -742,47 +772,49 @@ func (t *Txn) lookup(key string) *writeOp {
 // writes first (read-your-writes), else the latest committed version
 // (READ_COMMITTED: never uncommitted data from other transactions).
 // Committed entries are returned shared, like Store.GetCommitted.
-func (t *Txn) Get(key string) (Entry, bool) {
+//
+// The meta is that of the committed version the result is based on,
+// read together with it: for a key with no buffered write, entry and
+// meta come from one GetCommitted, so they always describe the same
+// version even while commits land on the key. Not-found rows return a
+// zero meta.
+func (t *Txn) Get(key string) (Entry, Meta, bool) {
 	if t.done {
-		return nil, false
+		return nil, Meta{}, false
 	}
-	if w := t.lookup(key); w != nil {
-		switch w.kind {
-		case OpDelete:
-			return nil, false
-		case OpPut:
-			return w.entry.Clone(), true
-		case OpModify:
-			base, _, ok := t.s.GetCommitted(key)
-			if ok {
-				base = base.Clone()
-			} else {
-				base = Entry{}
-			}
-			for _, m := range w.mods {
-				m.apply(base)
-			}
-			return base, true
-		}
+	w := t.lookup(key)
+	if w == nil {
+		return t.s.GetCommitted(key)
 	}
-	e, _, ok := t.s.GetCommitted(key)
-	return e, ok
+	if w.kind == OpDelete {
+		return nil, Meta{}, false
+	}
+	base, m, _ := t.s.GetCommitted(key)
+	if w.kind == OpPut {
+		return w.entry.Clone(), m, true
+	}
+	return modifyImage(base, w.mods), m, true
 }
 
 func (t *Txn) stage(key string) (w *writeOp, isNew bool) {
 	if w := t.lookup(key); w != nil {
 		return w, false
 	}
-	t.writes = append(t.writes, writeOp{key: key})
+	if t.n >= txnInlineWrites {
+		t.spill = append(t.spill, writeOp{})
+	}
+	w = t.write(t.n)
+	w.key = key
+	t.n++
 	if t.idx != nil {
-		t.idx[key] = len(t.writes) - 1
-	} else if len(t.writes) >= txnIndexThreshold {
-		t.idx = make(map[string]int, 2*len(t.writes))
-		for i := range t.writes {
-			t.idx[t.writes[i].key] = i
+		t.idx[key] = t.n - 1
+	} else if t.n >= txnIndexThreshold {
+		t.idx = make(map[string]int, 2*t.n)
+		for i := 0; i < t.n; i++ {
+			t.idx[t.write(i).key] = i
 		}
 	}
-	return &t.writes[len(t.writes)-1], true
+	return w, true
 }
 
 // Put buffers a full-row write.
@@ -844,7 +876,7 @@ func (t *Txn) Commit() (*CommitRecord, error) {
 		return nil, ErrTxnDone
 	}
 	t.done = true
-	if len(t.writes) == 0 {
+	if t.n == 0 {
 		return nil, nil
 	}
 
@@ -865,22 +897,14 @@ func (t *Txn) Commit() (*CommitRecord, error) {
 		return nil, ErrReadOnly
 	}
 
-	rec := &CommitRecord{
-		CSN:    s.csn + 1,
-		WallTS: nowMicro(),
-		Origin: s.replicaID,
-		Ops:    make([]Op, 0, len(t.writes)),
-		Trace:  t.tr,
-	}
-
 	// Capacity check: count net new live rows. commitMu serializes
 	// commits, so the check cannot race another commit; background
 	// direct puts (seeding, repair) are accounted through the shared
 	// live counter.
 	if capacity > 0 {
 		delta := 0
-		for i := range t.writes {
-			w := &t.writes[i]
+		for i := 0; i < t.n; i++ {
+			w := t.write(i)
 			liveNow := s.isLive(w.key)
 			switch w.kind {
 			case OpPut, OpModify:
@@ -899,14 +923,20 @@ func (t *Txn) Commit() (*CommitRecord, error) {
 		}
 	}
 
+	rec := newCommitRecord(t.n)
+	rec.CSN = s.csn + 1
+	rec.WallTS = nowMicro()
+	rec.Origin = s.replicaID
+	rec.Trace = t.tr
+
 	// Build each op and install its post-image under the row's shard
 	// lock, so the post-image computation and the install are atomic
 	// per row. The txn is done, so write-set entries and mod slices
 	// transfer into the record without copying; and because installed
 	// entries are immutable copy-on-write values, the record and the
 	// row share one post-image instead of cloning it twice.
-	for wi := range t.writes {
-		w := &t.writes[wi]
+	for wi := 0; wi < t.n; wi++ {
+		w := t.write(wi)
 		op := Op{Key: w.key}
 		sh := s.shardFor(w.key)
 		sh.mu.Lock()
@@ -926,15 +956,14 @@ func (t *Txn) Commit() (*CommitRecord, error) {
 		case OpModify:
 			op.Kind = OpModify
 			op.Mods = w.mods // ownership transfers
-			base := Entry{}
+			var base Entry
 			if wasLive {
-				base = r.entry.Clone()
+				base = r.entry
 			}
-			for _, m := range w.mods {
-				m.apply(base)
-			}
-			op.Entry = base // post-image, shared with the row
-			r.entry = base
+			// Post-image, shared with the row; it shares the untouched
+			// attributes' value slices with the version it replaces.
+			op.Entry = modifyImage(base, w.mods)
+			r.entry = op.Entry
 			r.meta.Tombstone = false
 		case OpDelete:
 			op.Kind = OpDelete
@@ -987,6 +1016,20 @@ func (t *Txn) Commit() (*CommitRecord, error) {
 		}
 	}
 	return rec, nil
+}
+
+// newCommitRecord returns an empty record with room for n ops. The
+// common one-write record and its op share one allocation.
+func newCommitRecord(n int) *CommitRecord {
+	if n == 1 {
+		one := &struct {
+			rec CommitRecord
+			op  [1]Op
+		}{}
+		one.rec.Ops = one.op[:0]
+		return &one.rec
+	}
+	return &CommitRecord{Ops: make([]Op, 0, n)}
 }
 
 // finishInstallLocked settles the side state of one installed row

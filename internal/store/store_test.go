@@ -50,13 +50,13 @@ func TestReadCommittedIsolation(t *testing.T) {
 
 	// A concurrent reader must see only the committed version.
 	reader := s.Begin(ReadCommitted)
-	e, ok := reader.Get("k")
+	e, _, ok := reader.Get("k")
 	if !ok || e.First("v") != "committed" {
 		t.Fatalf("reader saw %v (dirty read!)", e)
 	}
 
 	// The writer itself sees its own write.
-	e, ok = writer.Get("k")
+	e, _, ok = writer.Get("k")
 	if !ok || e.First("v") != "uncommitted" {
 		t.Fatalf("writer saw %v (no read-your-writes)", e)
 	}
@@ -596,5 +596,62 @@ func TestApplyReplicatedAllocs(t *testing.T) {
 	if got > 1 || slave.AppliedCSN() != uint64(len(recs)) {
 		t.Errorf("slave ApplyReplicated = %.0f allocs/op (applied through %d of %d), want ≤ 1",
 			got, slave.AppliedCSN(), len(recs))
+	}
+}
+
+// wideRow is a 16-attribute row shaped like a provisioned subscriber.
+func wideRow() Entry {
+	e := Entry{}
+	for i := 0; i < 16; i++ {
+		e[fmt.Sprintf("attr%02d", i)] = []string{fmt.Sprintf("value-%d", i)}
+	}
+	return e
+}
+
+// TestTxnModifyCommitAllocs gates a one-row, one-attribute modify of a
+// 16-attribute row: the Txn stays on the stack, the record and its op
+// share one allocation, and the post-image is a shallow copy that
+// re-packs nothing but the replaced attribute.
+func TestTxnModifyCommitAllocs(t *testing.T) {
+	s := New("r1")
+	txn := s.Begin(ReadCommitted)
+	txn.Put("k", wideRow())
+	if _, err := txn.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	mods := []Mod{{Kind: ModReplace, Attr: "attr07", Vals: []string{"v"}}}
+	got := testing.AllocsPerRun(1000, func() {
+		txn := s.Begin(ReadCommitted)
+		txn.Modify("k", mods...)
+		if _, err := txn.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("one-row modify commit: %.0f allocs", got)
+	if got > 7 {
+		t.Errorf("one-row modify commit = %.0f allocs/op, want ≤ 7", got)
+	}
+}
+
+// TestTxnReadAllocs gates a read-only transaction: Begin, Get and
+// Commit share the installed version and allocate nothing.
+func TestTxnReadAllocs(t *testing.T) {
+	s := New("r1")
+	txn := s.Begin(ReadCommitted)
+	txn.Put("k", wideRow())
+	if _, err := txn.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	got := testing.AllocsPerRun(1000, func() {
+		txn := s.Begin(ReadCommitted)
+		if _, _, ok := txn.Get("k"); !ok {
+			t.Fatal("missing row")
+		}
+		if rec, err := txn.Commit(); rec != nil || err != nil {
+			t.Fatal(rec, err)
+		}
+	})
+	if got != 0 {
+		t.Errorf("read-only txn = %.0f allocs/op, want 0", got)
 	}
 }
