@@ -2,6 +2,7 @@ package main
 
 import (
 	"context"
+	"fmt"
 	"net"
 	"slices"
 	"strings"
@@ -14,6 +15,7 @@ import (
 	"repro/internal/simnet"
 	"repro/internal/store"
 	"repro/internal/subscriber"
+	"repro/internal/trace"
 )
 
 func TestParseFilterEquality(t *testing.T) {
@@ -417,4 +419,120 @@ func TestRepairEndToEnd(t *testing.T) {
 	if !ok || !got.Equal(wantEntry) {
 		t.Fatalf("divergent row not repaired: got %v, want %v", got, wantEntry)
 	}
+}
+
+// TestMoveOutlastsDataTimeout pins the admin deadline on the LDAP
+// path: a move whose bulk copy takes longer than the 2 s per-request
+// data timeout must still complete over udrctl, as it does over
+// POST /admin/move. A 20 ms backbone hop makes each 128-row copy
+// batch a 40 ms round trip, so 8 192 rows copy in at least 2.56 s.
+func TestMoveOutlastsDataTimeout(t *testing.T) {
+	const rows = 8192
+	network := simnet.New(simnet.Config{
+		Backbone: simnet.Link{Latency: 20 * time.Millisecond},
+		Seed:     1,
+	})
+	cfg := core.DefaultConfig()
+	cfg.Sites = []core.SiteSpec{
+		{Name: "eu-south", SEs: 2, PartitionsPerSE: 1},
+		{Name: "eu-north", SEs: 2, PartitionsPerSE: 1},
+	}
+	cfg.ReplicationFactor = 2
+	u, err := core.New(network, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(u.Stop)
+
+	partID := "p-eu-south-0"
+	part, _ := u.Partition(partID)
+	master := u.Element(part.Master().Element)
+	st := master.Replica(partID).Store
+	for i := 0; i < rows; i++ {
+		txn := st.Begin(store.ReadCommitted)
+		txn.Put(fmt.Sprintf("row-%05d", i), store.Entry{"v": {"x"}})
+		if _, err := txn.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// A cross-site target: the copy crosses the slow backbone.
+	hosted := map[string]bool{}
+	for _, ref := range part.Replicas {
+		hosted[ref.Element] = true
+	}
+	target := ""
+	for _, el := range u.Elements() {
+		if !hosted[el] && u.Element(el).Site() != master.Site() {
+			target = el
+		}
+	}
+
+	session := core.NewSession(network, simnet.MakeAddr("eu-south", "udrctl-test"), "eu-south", core.PolicyPS)
+	c := dialBackend(t, core.NewLDAPBackend(session).WithTopology(u))
+	start := time.Now()
+	text, r, err := c.Move(partID, target)
+	took := time.Since(start)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Code != ldap.ResultSuccess {
+		t.Fatalf("move after %s: %v %s", took, r.Code, r.Message)
+	}
+	if took <= 2*time.Second {
+		t.Fatalf("move took %s: too fast to outlast the data timeout", took)
+	}
+	if !strings.Contains(text, fmt.Sprintf("rows=%d", rows)) {
+		t.Fatalf("move report does not show the full copy:\n%s", text)
+	}
+}
+
+// TestTraceExtendedOp drives udrctl trace over the wire: the recent
+// and slow listings, one trace's span tree, and the two operator
+// mistakes — an id never sampled (noSuchObject) and one that is not
+// an id at all (protocolError).
+func TestTraceExtendedOp(t *testing.T) {
+	rec := trace.New(trace.Config{SampleRate: 1})
+	root := rec.StartRoot("fe.MOCall", "eu-south/HLR-FE")
+	child := rec.StartChild(root.Ctx(), "session.exec", "eu-south/fe-0")
+	child.End(nil)
+	root.End(nil)
+	slow := rec.StartRoot("fe.IMSRegister", "americas/HSS-FE")
+	slow.EndWithDuration(3*time.Second, nil)
+
+	network := simnet.New(simnet.FastConfig())
+	cfg := core.DefaultConfig()
+	cfg.Trace = rec
+	u, err := core.New(network, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(u.Stop)
+	site := u.Sites()[0]
+	session := core.NewSession(network, simnet.MakeAddr(site, "udrctl-test"), site, core.PolicyPS)
+	c := dialBackend(t, core.NewLDAPBackend(session).WithTopology(u))
+
+	call := func(arg string, want ldap.ResultCode) string {
+		t.Helper()
+		text, r, err := c.Trace(arg)
+		if err != nil || r.Code != want {
+			t.Fatalf("trace %q: %v %v (%s), want %v", arg, r.Code, err, r.Message, want)
+		}
+		return text
+	}
+	id := root.Ctx().Trace.String()
+	if text := call("recent", ldap.ResultSuccess); !strings.HasPrefix(text, "2 recent traces") ||
+		!strings.Contains(text, id+"  fe.MOCall") {
+		t.Fatalf("recent listing:\n%s", text)
+	}
+	// Slowest first: the 3 s root heads the listing.
+	if text := call("slow", ldap.ResultSuccess); !strings.HasPrefix(text, "2 slowest traces") ||
+		!strings.Contains(text, ")\n"+slow.Ctx().Trace.String()+"  fe.IMSRegister") {
+		t.Fatalf("slow listing:\n%s", text)
+	}
+	if text := call(id, ldap.ResultSuccess); !strings.Contains(text, "fe.MOCall") ||
+		!strings.Contains(text, "session.exec") {
+		t.Fatalf("span tree:\n%s", text)
+	}
+	call("00000000deadbeef", ldap.ResultNoSuchObject)
+	call("not-hex", ldap.ResultProtocolError)
 }

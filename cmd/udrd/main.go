@@ -9,9 +9,12 @@
 //
 // With -admin, udrd also serves an operations HTTP listener:
 // GET /metrics (Prometheus text exposition), GET /healthz,
-// GET /status (topology, placement epochs, replication lag as JSON),
-// net/http/pprof under /debug/pprof/, and POST /admin/{repair,move,
-// rebalance} mirroring the udrctl extended operations.
+// net/http/pprof under /debug/pprof/, and the control operations as
+// JSON — GET /status (topology, placement epochs, replication lag),
+// GET /trace/{recent,slow,<id>} and POST /admin/{repair,move,
+// rebalance}. Those are the same operations, with the same error
+// classes and admin deadline, that udrctl reaches over the LDAP
+// listener's extended operations.
 //
 // Usage:
 //
@@ -161,7 +164,7 @@ func run() error {
 	if *adminAdr != "" {
 		reg := metrics.NewRegistry()
 		u.RegisterMetrics(reg)
-		admin := obs.NewServer(obs.Config{Registry: reg, UDR: u, Tracer: tracer})
+		admin := obs.NewServer(obs.Config{Registry: reg, UDR: u})
 		adminLn, err := net.Listen("tcp", *adminAdr)
 		if err != nil {
 			return fmt.Errorf("admin listener: %w", err)

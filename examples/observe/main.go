@@ -62,7 +62,7 @@ func main() {
 	// flag does.
 	reg := udr.NewMetricsRegistry()
 	u.RegisterMetrics(reg)
-	srv := udr.NewObsServer(udr.ObsConfig{Registry: reg, UDR: u, Tracer: tracer})
+	srv := udr.NewObsServer(udr.ObsConfig{Registry: reg, UDR: u})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		log.Fatal(err)

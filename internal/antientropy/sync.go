@@ -198,25 +198,25 @@ func (p *Peer) HandleMessage(ctx context.Context, from simnet.Addr, msg any) (re
 
 // Stats reports one repair round against one peer.
 type Stats struct {
-	Partition string
-	Peer      simnet.Addr
+	Partition string      `json:"partition"`
+	Peer      simnet.Addr `json:"peer"`
 	// InSync is true when the root digests matched: nothing shipped.
-	InSync bool
+	InSync bool `json:"inSync"`
 	// LeavesDiffed is how many leaves mismatched.
-	LeavesDiffed int
+	LeavesDiffed int `json:"leavesDiffed"`
 	// RowsShipped / RowsPulled count row transfers in each direction.
-	RowsShipped int
-	RowsPulled  int
+	RowsShipped int `json:"rowsShipped"`
+	RowsPulled  int `json:"rowsPulled"`
 	// RowsRepairedLocal / RowsRepairedPeer count rows that actually
 	// changed on each side.
-	RowsRepairedLocal int
-	RowsRepairedPeer  int
+	RowsRepairedLocal int `json:"rowsRepairedLocal"`
+	RowsRepairedPeer  int `json:"rowsRepairedPeer"`
 	// Truncated is true when the per-round row cap cut the round
 	// short; another round is needed.
-	Truncated bool
+	Truncated bool `json:"truncated"`
 	// WatermarkAdvanced is true when the peer's replication high-water
 	// mark was moved up to re-attach it to the master's stream.
-	WatermarkAdvanced bool
+	WatermarkAdvanced bool `json:"watermarkAdvanced"`
 }
 
 // RowsTransferred is the round's total row traffic in both

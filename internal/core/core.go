@@ -921,8 +921,12 @@ func (u *UDR) kickSiteRepairs(site string) {
 
 // RepairPartition runs one anti-entropy repair round for a partition
 // from its current master replica to every replication peer, and
-// returns the per-peer stats. The UDR must run with AntiEntropy.
+// returns the per-peer stats. Without AntiEntropy it returns
+// ErrAntiEntropyDisabled.
 func (u *UDR) RepairPartition(ctx context.Context, partID string) ([]antientropy.Stats, error) {
+	if !u.cfg.AntiEntropy {
+		return nil, ErrAntiEntropyDisabled
+	}
 	u.mu.RLock()
 	part, ok := u.parts[partID]
 	var el *se.Element
@@ -941,7 +945,8 @@ func (u *UDR) RepairPartition(ctx context.Context, partID string) ([]antientropy
 
 // RepairAll runs a repair round for every partition (udrctl repair,
 // heal recovery). Unreachable peers are skipped; the first error is
-// reported after every partition was attempted.
+// reported after every partition was attempted. Without AntiEntropy
+// it returns ErrAntiEntropyDisabled.
 func (u *UDR) RepairAll(ctx context.Context) ([]antientropy.Stats, error) {
 	var out []antientropy.Stats
 	var firstErr error

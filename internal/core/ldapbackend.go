@@ -10,8 +10,6 @@ import (
 	"repro/internal/antientropy"
 	"repro/internal/ldap"
 	"repro/internal/locator"
-	"repro/internal/rebalance"
-	"repro/internal/replication"
 	"repro/internal/se"
 	"repro/internal/simnet"
 	"repro/internal/store"
@@ -25,8 +23,8 @@ import (
 type LDAPBackend struct {
 	session *Session
 	timeout time.Duration
-	// topology, when set via WithTopology, enables the OaM status
-	// extended operation.
+	// topology, when set via WithTopology, backs the control
+	// extended operations (Extended).
 	topology *UDR
 }
 
@@ -36,134 +34,104 @@ func NewLDAPBackend(session *Session) *LDAPBackend {
 	return &LDAPBackend{session: session, timeout: 2 * time.Second}
 }
 
-// WithTopology attaches the UDR so the backend can serve the OaM
-// status extended operation (the OSS consolidated view of §2.4).
+// WithTopology attaches the UDR so the backend can serve the control
+// extended operations: status (the OSS consolidated view of §2.4),
+// repair, move, rebalance and trace.
 func (b *LDAPBackend) WithTopology(u *UDR) *LDAPBackend {
 	b.topology = u
 	return b
 }
 
-// Extended implements ldap.ExtendedBackend: the OaM status dump and
-// the anti-entropy repair trigger.
+// Extended implements ldap.ExtendedBackend: the udrctl control
+// operations, as a codec over the UDR's control entry points. The
+// reply value is the operator's text report, rendered from the typed
+// report; the result code is the error class's (adminCodes).
 func (b *LDAPBackend) Extended(name string, value []byte) (ldap.Result, []byte) {
+	u, ctx, arg := b.topology, context.TODO(), strings.TrimSpace(string(value))
 	switch name {
 	case ldap.OIDStatus:
-		if b.topology == nil {
-			return ldap.Result{Code: ldap.ResultUnwillingToPerform, Message: "status not available on this endpoint"}, nil
+		st, err := u.Status()
+		if err != nil {
+			return adminReply("", err)
 		}
-		return ldap.Result{Code: ldap.ResultSuccess}, []byte(b.statusText())
+		return adminReply(statusText(st), nil)
 	case ldap.OIDRepair:
-		if b.topology == nil {
-			return ldap.Result{Code: ldap.ResultUnwillingToPerform, Message: "repair not available on this endpoint"}, nil
+		stats, err := u.AdminRepair(ctx, "")
+		if stats == nil && err != nil {
+			return adminReply("", err)
 		}
-		if !b.topology.Config().AntiEntropy {
-			return ldap.Result{Code: ldap.ResultUnwillingToPerform, Message: "anti-entropy repair is disabled"}, nil
-		}
-		ctx, cancel := context.WithTimeout(context.Background(), b.timeout)
-		defer cancel()
-		stats, err := b.topology.RepairAll(ctx)
-		text := repairText(stats)
-		if err != nil {
-			return ldap.Result{Code: ldap.ResultOther, Message: err.Error()}, []byte(text)
-		}
-		return ldap.Result{Code: ldap.ResultSuccess}, []byte(text)
+		return adminReply(repairText(stats), err)
 	case ldap.OIDMove:
-		if b.topology == nil {
-			return ldap.Result{Code: ldap.ResultUnwillingToPerform, Message: "move not available on this endpoint"}, nil
+		part, target, _ := strings.Cut(arg, " ")
+		rep, err := u.AdminMove(ctx, part, strings.TrimSpace(target), false)
+		if rep == nil {
+			return adminReply("", err)
 		}
-		fields := strings.Fields(string(value))
-		if len(fields) != 2 {
-			return ldap.Result{Code: ldap.ResultProtocolError, Message: "move wants '<partition> <target-element>'"}, nil
-		}
-		ctx, cancel := context.WithTimeout(context.Background(), b.timeout)
-		defer cancel()
-		rep, err := b.topology.MigratePartition(ctx, fields[0], fields[1], false)
-		if err != nil {
-			var text []byte
-			if rep != nil {
-				text = []byte(rep.String() + "\n")
-			}
-			return ldap.Result{Code: moveResultCode(err), Message: err.Error()}, text
-		}
-		return ldap.Result{Code: ldap.ResultSuccess}, []byte(rep.String() + "\n")
+		return adminReply(rep.String()+"\n", err)
 	case ldap.OIDRebalance:
-		if b.topology == nil {
-			return ldap.Result{Code: ldap.ResultUnwillingToPerform, Message: "rebalance not available on this endpoint"}, nil
+		res, err := u.AdminRebalance(ctx)
+		if res == nil {
+			return adminReply("", err)
 		}
-		ctx, cancel := context.WithTimeout(context.Background(), b.timeout)
-		defer cancel()
-		res, err := b.topology.Rebalance(ctx)
-		text := []byte(res.String())
-		if err != nil {
-			return ldap.Result{Code: ldap.ResultOther, Message: err.Error()}, text
-		}
-		if res.Failed > 0 {
-			return ldap.Result{Code: ldap.ResultOther,
-				Message: fmt.Sprintf("%d of %d moves failed", res.Failed, len(res.Plan))}, text
-		}
-		return ldap.Result{Code: ldap.ResultSuccess}, text
+		return adminReply(res.String(), err)
 	case ldap.OIDTrace:
-		if b.topology == nil {
-			return ldap.Result{Code: ldap.ResultUnwillingToPerform, Message: "trace not available on this endpoint"}, nil
+		if arg == "" || arg == "recent" || arg == "slow" {
+			rate, sums := u.Traces(arg == "slow", 0)
+			return adminReply(traceListText(arg == "slow", rate, sums), nil)
 		}
-		return b.traceExtended(strings.TrimSpace(string(value)))
-	default:
-		return ldap.Result{Code: ldap.ResultProtocolError, Message: "unknown extended op " + name}, nil
-	}
-}
-
-// traceExtended serves the request-trace extended operation: "recent"
-// (or an empty value) and "slow" list sampled traces, a 16-hex-digit
-// trace id renders that trace's span tree.
-func (b *LDAPBackend) traceExtended(arg string) (ldap.Result, []byte) {
-	tr := b.topology.Tracer()
-	if tr == nil {
-		return ldap.Result{Code: ldap.ResultUnwillingToPerform, Message: "tracing is disabled on this server"}, nil
-	}
-	listing := func(header string, sums []trace.TraceSummary) []byte {
-		var sb strings.Builder
-		fmt.Fprintf(&sb, "%d %s (sample rate %g)\n", len(sums), header, tr.SampleRate())
-		for _, s := range sums {
-			fmt.Fprintf(&sb, "%s  %-24s %12s  %d spans\n", s.Trace, s.Root.Name, s.Root.Duration, s.Spans)
-		}
-		return []byte(sb.String())
-	}
-	switch arg {
-	case "", "recent":
-		return ldap.Result{Code: ldap.ResultSuccess}, listing("recent traces", tr.Recent(20))
-	case "slow":
-		roots := tr.Slow(10)
-		sums := make([]trace.TraceSummary, 0, len(roots))
-		for _, root := range roots {
-			sums = append(sums, trace.TraceSummary{Trace: root.Trace, Root: root, Spans: len(tr.Get(root.Trace))})
-		}
-		return ldap.Result{Code: ldap.ResultSuccess}, listing("slowest traces", sums)
-	default:
-		id, err := trace.ParseID(arg)
+		spans, err := u.TraceSpans(arg)
 		if err != nil {
-			return ldap.Result{Code: ldap.ResultProtocolError, Message: "trace wants 'recent', 'slow' or a trace id: " + arg}, nil
+			return adminReply("", err)
 		}
-		spans := tr.Get(id)
-		if len(spans) == 0 {
-			return ldap.Result{Code: ldap.ResultNoSuchObject, Message: "unknown trace (never sampled, or already overwritten): " + arg}, nil
-		}
-		return ldap.Result{Code: ldap.ResultSuccess}, []byte(trace.RenderTree(spans))
+		return adminReply(trace.RenderTree(spans), nil)
+	default:
+		return adminReply("", fmt.Errorf("%w: unknown extended op %s", ErrBadRequest, name))
 	}
 }
 
-// moveResultCode maps migration errors onto LDAP result codes so
-// udrctl can distinguish operator mistakes from transient conflicts.
-func moveResultCode(err error) ldap.ResultCode {
-	switch {
-	case errors.Is(err, ErrMigrationInFlight):
-		return ldap.ResultBusy
-	case errors.Is(err, rebalance.ErrConflict):
-		return ldap.ResultUnwillingToPerform
-	case errors.Is(err, ErrUnknownPartition), errors.Is(err, ErrUnknownElement):
-		return ldap.ResultNoSuchObject
-	default:
-		return ldap.ResultOther
+// adminCodes is the LDAP result code of each control-operation error
+// class (DESIGN.md, "Control operations").
+var adminCodes = [...]ldap.ResultCode{
+	ClassOther:           ldap.ResultOther,
+	ClassNotFound:        ldap.ResultNoSuchObject,
+	ClassBusy:            ldap.ResultBusy,
+	ClassConflict:        ldap.ResultUnwillingToPerform,
+	ClassDisabled:        ldap.ResultUnwillingToPerform,
+	ClassUnavailableHere: ldap.ResultUnwillingToPerform,
+	ClassBadRequest:      ldap.ResultProtocolError,
+	ClassTimeout:         ldap.ResultTimeLimitExceeded,
+}
+
+// AdminResult is the LDAP result of a control operation: success for a
+// nil error, else the error class's code with the error as message.
+func AdminResult(err error) ldap.Result {
+	if err == nil {
+		return ldap.Result{Code: ldap.ResultSuccess}
 	}
+	return ldap.Result{Code: adminCodes[AdminClass(err)], Message: err.Error()}
+}
+
+// adminReply is an extended-op reply: the result plus the report text,
+// if any.
+func adminReply(text string, err error) (ldap.Result, []byte) {
+	if text == "" {
+		return AdminResult(err), nil
+	}
+	return AdminResult(err), []byte(text)
+}
+
+// traceListText renders a recent or slowest trace listing.
+func traceListText(slow bool, rate float64, sums []trace.TraceSummary) string {
+	header := "recent traces"
+	if slow {
+		header = "slowest traces"
+	}
+	var sb strings.Builder
+	fmt.Fprintf(&sb, "%d %s (sample rate %g)\n", len(sums), header, rate)
+	for _, s := range sums {
+		fmt.Fprintf(&sb, "%s  %-24s %12s  %d spans\n", s.Trace, s.Root.Name, s.Root.Duration, s.Spans)
+	}
+	return sb.String()
 }
 
 // repairText renders a repair round as the operator-facing report.
@@ -192,53 +160,39 @@ func repairText(stats []antientropy.Stats) string {
 	return sb.String()
 }
 
-// statusText renders the topology as the operator-facing status dump.
-func (b *LDAPBackend) statusText() string {
-	u := b.topology
+// statusText renders the status view as the operator-facing dump.
+func statusText(st *Status) string {
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "sites: %s\n", strings.Join(u.Sites(), ", "))
-	for _, partID := range u.Partitions() {
-		part, ok := u.Partition(partID)
-		if !ok {
-			continue
-		}
-		line := fmt.Sprintf("partition %s home=%s", part.ID, part.HomeSite)
-		if el := u.Element(part.Master().Element); el != nil && !el.Down() {
-			if pr := el.Replica(partID); pr != nil && pr.Store.Role() == store.Master {
-				line += fmt.Sprintf(" durability=%s", pr.Repl.Durability())
-				if pr.Repl.Durability() == replication.Quorum {
-					line += fmt.Sprintf(" quorum=%s ack-watermark=%d/%d",
-						pr.Repl.QuorumPolicy(), pr.Repl.QuorumWatermark(), pr.Store.CSN())
-				}
+	fmt.Fprintf(&sb, "sites: %s\n", strings.Join(st.Sites, ", "))
+	for _, p := range st.Partitions {
+		fmt.Fprintf(&sb, "partition %s home=%s", p.ID, p.HomeSite)
+		if p.Durability != "" && p.Replicas[0].Up {
+			fmt.Fprintf(&sb, " durability=%s", p.Durability)
+			if p.QuorumPolicy != "" {
+				fmt.Fprintf(&sb, " quorum=%s ack-watermark=%d/%d", p.QuorumPolicy, p.QuorumWatermark, p.MasterCSN)
 			}
 		}
-		sb.WriteString(line + "\n")
-		for i, ref := range part.Replicas {
-			role := "slave "
-			if i == 0 {
+		sb.WriteByte('\n')
+		for _, r := range p.Replicas {
+			role, rows, state := "slave ", "?", "DOWN"
+			if r.Role == "master" {
 				role = "master"
 			}
-			state := "up"
-			rows := "?"
-			if el := u.Element(ref.Element); el != nil {
-				if el.Down() {
-					state = "DOWN"
-				} else if pr := el.Replica(partID); pr != nil {
-					rows = fmt.Sprint(pr.Store.Len())
-				}
+			if r.Up {
+				rows, state = fmt.Sprint(r.Rows), "up"
 			}
 			fmt.Fprintf(&sb, "  %s %-24s site=%-12s rows=%-8s %s\n",
-				role, ref.Element, ref.Site, rows, state)
+				role, r.Element, r.Site, rows, state)
 		}
 	}
-	for _, cs := range u.CacheStats() {
-		line := fmt.Sprintf("fe-cache %-12s entries=%d/%d hits=%d misses=%d evictions=%d invalidations(csn/epoch)=%d/%d",
+	for _, cs := range st.Caches {
+		fmt.Fprintf(&sb, "fe-cache %-12s entries=%d/%d hits=%d misses=%d evictions=%d invalidations(csn/epoch)=%d/%d",
 			cs.Site, cs.Entries, cs.Capacity, cs.Hits, cs.Misses,
 			cs.Evictions, cs.InvalidationsCSN, cs.InvalidationsEpoch)
 		if cs.LastInvalidatedPartition != "" {
-			line += fmt.Sprintf(" last-inv=%s@%d", cs.LastInvalidatedPartition, cs.LastInvalidationEpoch)
+			fmt.Fprintf(&sb, " last-inv=%s@%d", cs.LastInvalidatedPartition, cs.LastInvalidationEpoch)
 		}
-		sb.WriteString(line + "\n")
+		sb.WriteByte('\n')
 	}
 	return sb.String()
 }

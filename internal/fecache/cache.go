@@ -233,20 +233,20 @@ type Cache struct {
 
 // Stats is a point-in-time counter snapshot for metrics and /status.
 type Stats struct {
-	Site               string
-	Entries            int
-	Capacity           int
-	Hits               uint64
-	Misses             uint64
-	Evictions          uint64
-	InvalidationsEpoch uint64
-	InvalidationsCSN   uint64
-	StaleRejects       uint64
+	Site               string `json:"site"`
+	Entries            int    `json:"entries"`
+	Capacity           int    `json:"capacity"`
+	Hits               uint64 `json:"hits"`
+	Misses             uint64 `json:"misses"`
+	Evictions          uint64 `json:"evictions"`
+	InvalidationsEpoch uint64 `json:"invalidationsEpoch"`
+	InvalidationsCSN   uint64 `json:"invalidationsCsn"`
+	StaleRejects       uint64 `json:"staleRejects"`
 	// LastInvalidatedPartition/Epoch name the most recent epoch-bump
 	// invalidation, so an operator can see a cold cache after a
 	// migration or failover.
-	LastInvalidatedPartition string
-	LastInvalidationEpoch    uint64
+	LastInvalidatedPartition string `json:"lastInvalidatedPartition,omitempty"`
+	LastInvalidationEpoch    uint64 `json:"lastInvalidationEpoch,omitempty"`
 }
 
 // New returns an empty cache for one site's PoA. capacity ≤ 0 selects

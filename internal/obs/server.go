@@ -1,10 +1,8 @@
 package obs
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"net"
 	"net/http"
 	"net/http/pprof"
@@ -14,23 +12,17 @@ import (
 	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/rebalance"
-	"repro/internal/store"
-	"repro/internal/trace"
 )
 
 // Config wires an admin server.
 type Config struct {
 	// Registry backs GET /metrics. Required.
 	Registry *metrics.Registry
-	// UDR, when set, enables GET /status and the POST /admin/*
-	// control operations. A metrics-only endpoint leaves it nil.
+	// UDR, when set, backs GET /status, the POST /admin/* control
+	// operations and the GET /trace/* views (from its trace
+	// recorder). A metrics-only endpoint leaves it nil: the control
+	// operations then answer 503 and the trace views list nothing.
 	UDR *core.UDR
-	// AdminTimeout bounds each control operation (default 15s: a
-	// rebalance pass streams partitions over the backbone).
-	AdminTimeout time.Duration
-	// Tracer, when set, backs the GET /trace/* views. Nil serves the
-	// routes with empty results (tracing disabled, not an error).
-	Tracer *trace.Recorder
 }
 
 // Server is the admin HTTP surface of one udrd process:
@@ -46,9 +38,11 @@ type Config struct {
 //	POST /admin/move        ?partition= &target= [&release=true]
 //	POST /admin/rebalance   plan + execute a rebalancing pass
 //
-// The admin operations mirror the udrctl LDAP extended operations,
-// including their error classes: unknown partition/element → 404,
-// conflicting or in-flight move → 409, disabled subsystem → 409.
+// The status, trace and admin routes are a codec over the UDR's
+// control operations, the same ones the udrctl LDAP extended
+// operations call: each route parses its query, calls the UDR and
+// writes the report as JSON, with the HTTP status of the error's
+// core.AdminClass (statusCodes).
 type Server struct {
 	cfg   Config
 	mux   *http.ServeMux
@@ -58,15 +52,12 @@ type Server struct {
 
 // NewServer builds the server; Serve or Handler make it reachable.
 func NewServer(cfg Config) *Server {
-	if cfg.AdminTimeout <= 0 {
-		cfg.AdminTimeout = 15 * time.Second
-	}
 	s := &Server{cfg: cfg, mux: http.NewServeMux(), start: time.Now()}
 	s.mux.HandleFunc("/metrics", s.handleMetrics)
 	s.mux.HandleFunc("/healthz", s.handleHealthz)
 	s.mux.HandleFunc("/status", s.handleStatus)
-	s.mux.HandleFunc("/trace/recent", s.handleTraceRecent)
-	s.mux.HandleFunc("/trace/slow", s.handleTraceSlow)
+	s.mux.HandleFunc("/trace/recent", func(w http.ResponseWriter, r *http.Request) { s.handleTraceList(w, r, false) })
+	s.mux.HandleFunc("/trace/slow", func(w http.ResponseWriter, r *http.Request) { s.handleTraceList(w, r, true) })
 	s.mux.HandleFunc("/trace/", s.handleTraceGet)
 	s.mux.HandleFunc("/admin/repair", s.handleRepair)
 	s.mux.HandleFunc("/admin/move", s.handleMove)
@@ -109,28 +100,34 @@ type errorJSON struct {
 	Error string `json:"error"`
 }
 
-// httpCode maps control-plane errors onto HTTP status codes, the same
-// classes moveResultCode gives udrctl over LDAP.
-func httpCode(err error) int {
-	switch {
-	case errors.Is(err, core.ErrUnknownPartition), errors.Is(err, core.ErrUnknownElement):
-		return http.StatusNotFound
-	case errors.Is(err, core.ErrMigrationInFlight), errors.Is(err, rebalance.ErrConflict):
-		return http.StatusConflict
-	case errors.Is(err, context.DeadlineExceeded):
-		return http.StatusGatewayTimeout
-	default:
-		return http.StatusInternalServerError
-	}
+// statusCodes is the HTTP status of each control-operation error
+// class (DESIGN.md, "Control operations").
+var statusCodes = [...]int{
+	core.ClassOther:           http.StatusInternalServerError,
+	core.ClassNotFound:        http.StatusNotFound,
+	core.ClassBusy:            http.StatusConflict,
+	core.ClassConflict:        http.StatusConflict,
+	core.ClassDisabled:        http.StatusConflict,
+	core.ClassUnavailableHere: http.StatusServiceUnavailable,
+	core.ClassBadRequest:      http.StatusBadRequest,
+	core.ClassTimeout:         http.StatusGatewayTimeout,
 }
 
-// requireUDR guards the topology-backed endpoints.
-func (s *Server) requireUDR(w http.ResponseWriter) bool {
-	if s.cfg.UDR == nil {
-		writeJSON(w, http.StatusServiceUnavailable, errorJSON{Error: "not available on this endpoint: no topology attached"})
-		return false
+// httpStatus is the HTTP status of a control operation: 200 for a nil
+// error, else the error class's status.
+func httpStatus(err error) int {
+	if err == nil {
+		return http.StatusOK
 	}
-	return true
+	return statusCodes[core.AdminClass(err)]
+}
+
+// errString is err's message, empty for nil.
+func errString(err error) string {
+	if err == nil {
+		return ""
+	}
+	return err.Error()
 }
 
 // requirePost guards the mutating admin operations.
@@ -161,248 +158,31 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// ReplicaStatus is one partition copy in the /status view.
-type ReplicaStatus struct {
-	Element    string `json:"element"`
-	Site       string `json:"site"`
-	Role       string `json:"role"`
-	Up         bool   `json:"up"`
-	Rows       int    `json:"rows"`
-	CSN        uint64 `json:"csn"`
-	AppliedCSN uint64 `json:"appliedCsn"`
-}
-
-// PeerLag is one replication sender's shipping state as seen from the
-// partition master.
-type PeerLag struct {
-	Peer       string `json:"peer"`
-	AckedCSN   uint64 `json:"ackedCsn"`
-	QueueDepth int    `json:"queueDepth"`
-	// LagRecords is master CSN minus the peer's acked CSN.
-	LagRecords uint64 `json:"lagRecords"`
-	// AcksPending is the quorum watermark minus the peer's acked CSN:
-	// records the peer still owes before it catches the quorum.
-	AcksPending uint64 `json:"acksPending,omitempty"`
-}
-
-// PartitionStatus is one partition-table entry plus live replication
-// state.
-type PartitionStatus struct {
-	ID        string `json:"id"`
-	HomeSite  string `json:"homeSite"`
-	Epoch     uint64 `json:"epoch"`
-	MasterCSN uint64 `json:"masterCsn"`
-	// Durability is the master's commit durability level (async,
-	// dual-seq, quorum, sync-all).
-	Durability string `json:"durability,omitempty"`
-	// QuorumWatermark is the highest CSN durable under the master's
-	// quorum policy; commits at or below it have their quorum of acks.
-	QuorumWatermark uint64          `json:"quorumWatermark,omitempty"`
-	Replicas        []ReplicaStatus `json:"replicas"`
-	ReplicationLag  []PeerLag       `json:"replicationLag,omitempty"`
-}
-
-// ElementStatus is one storage element in the /status view.
-type ElementStatus struct {
-	ID         string   `json:"id"`
-	Site       string   `json:"site"`
-	Down       bool     `json:"down"`
-	Partitions []string `json:"partitions"`
-}
-
-// MigrationStatus is one in-flight partition move.
-type MigrationStatus struct {
-	Partition string `json:"partition"`
-	Phase     string `json:"phase"`
-}
-
-// CacheStatus is one site's FE/PoA subscriber read cache in the
-// /status view: occupancy, hit/miss churn and the most recent
-// epoch-bump invalidation (a fresh failover or migration shows up
-// here as a partly guarded cache).
-type CacheStatus struct {
-	Site                     string `json:"site"`
-	Entries                  int    `json:"entries"`
-	Capacity                 int    `json:"capacity"`
-	Hits                     uint64 `json:"hits"`
-	Misses                   uint64 `json:"misses"`
-	Evictions                uint64 `json:"evictions"`
-	InvalidationsEpoch       uint64 `json:"invalidationsEpoch"`
-	InvalidationsCSN         uint64 `json:"invalidationsCsn"`
-	StaleRejects             uint64 `json:"staleRejects"`
-	LastInvalidatedPartition string `json:"lastInvalidatedPartition,omitempty"`
-	LastInvalidationEpoch    uint64 `json:"lastInvalidationEpoch,omitempty"`
-}
-
-// StatusResponse is the /status body: the consolidated OaM view —
-// topology, placement epochs, replication lag, in-flight migrations,
-// per-site FE cache state.
-type StatusResponse struct {
-	Sites      []string          `json:"sites"`
-	Elements   []ElementStatus   `json:"elements"`
-	Partitions []PartitionStatus `json:"partitions"`
-	Migrations []MigrationStatus `json:"migrations"`
-	Caches     []CacheStatus     `json:"caches,omitempty"`
-}
+// StatusResponse is the /status body: the UDR's consolidated OaM view.
+type StatusResponse = core.Status
 
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
-	if !s.requireUDR(w) {
+	st, err := s.cfg.UDR.Status()
+	if err != nil {
+		writeJSON(w, httpStatus(err), errorJSON{Error: err.Error()})
 		return
 	}
-	writeJSON(w, http.StatusOK, s.status())
+	writeJSON(w, http.StatusOK, st)
 }
 
-func (s *Server) status() StatusResponse {
-	u := s.cfg.UDR
-	resp := StatusResponse{Sites: u.Sites(), Migrations: []MigrationStatus{}}
-	for _, elID := range u.Elements() {
-		el := u.Element(elID)
-		if el == nil {
-			continue
-		}
-		resp.Elements = append(resp.Elements, ElementStatus{
-			ID:         el.ID(),
-			Site:       el.Site(),
-			Down:       el.Down(),
-			Partitions: el.Partitions(),
-		})
-	}
-	for _, partID := range u.Partitions() {
-		part, ok := u.Partition(partID)
-		if !ok {
-			continue
-		}
-		ps := PartitionStatus{ID: part.ID, HomeSite: part.HomeSite, Epoch: part.Epoch}
-		for i, ref := range part.Replicas {
-			rs := ReplicaStatus{
-				Element: ref.Element,
-				Site:    ref.Site,
-				Role:    "slave",
-			}
-			if i == 0 {
-				rs.Role = "master"
-			}
-			if el := u.Element(ref.Element); el != nil {
-				rs.Up = !el.Down()
-				if pr := el.Replica(partID); pr != nil {
-					rs.Rows = pr.Store.Len()
-					rs.CSN = pr.Store.CSN()
-					rs.AppliedCSN = pr.Store.AppliedCSN()
-					if i == 0 && pr.Store.Role() == store.Master {
-						ps.MasterCSN = pr.Store.CSN()
-						ps.Durability = pr.Repl.Durability().String()
-						ps.QuorumWatermark = pr.Repl.QuorumWatermark()
-						pending := pr.Repl.WatermarkLag()
-						for _, st := range pr.Repl.SenderStats() {
-							lag := uint64(0)
-							if ps.MasterCSN > st.AckedCSN {
-								lag = ps.MasterCSN - st.AckedCSN
-							}
-							ps.ReplicationLag = append(ps.ReplicationLag, PeerLag{
-								Peer:        string(st.Peer),
-								AckedCSN:    st.AckedCSN,
-								QueueDepth:  st.QueueDepth,
-								LagRecords:  lag,
-								AcksPending: pending[st.Peer],
-							})
-						}
-					}
-				}
-			}
-			ps.Replicas = append(ps.Replicas, rs)
-		}
-		resp.Partitions = append(resp.Partitions, ps)
-	}
-	for part, phase := range u.MigrationsInFlight() {
-		resp.Migrations = append(resp.Migrations, MigrationStatus{
-			Partition: part, Phase: phase.String(),
-		})
-	}
-	for _, cs := range u.CacheStats() {
-		resp.Caches = append(resp.Caches, CacheStatus{
-			Site:                     cs.Site,
-			Entries:                  cs.Entries,
-			Capacity:                 cs.Capacity,
-			Hits:                     cs.Hits,
-			Misses:                   cs.Misses,
-			Evictions:                cs.Evictions,
-			InvalidationsEpoch:       cs.InvalidationsEpoch,
-			InvalidationsCSN:         cs.InvalidationsCSN,
-			StaleRejects:             cs.StaleRejects,
-			LastInvalidatedPartition: cs.LastInvalidatedPartition,
-			LastInvalidationEpoch:    cs.LastInvalidationEpoch,
-		})
-	}
-	return resp
-}
-
-// RepairRound is one anti-entropy peer round in the /admin/repair
-// response.
-type RepairRound struct {
-	Partition         string `json:"partition"`
-	Peer              string `json:"peer"`
-	InSync            bool   `json:"inSync"`
-	LeavesDiffed      int    `json:"leavesDiffed"`
-	RowsShipped       int    `json:"rowsShipped"`
-	RowsPulled        int    `json:"rowsPulled"`
-	RowsRepairedLocal int    `json:"rowsRepairedLocal"`
-	RowsRepairedPeer  int    `json:"rowsRepairedPeer"`
-	Truncated         bool   `json:"truncated"`
-	WatermarkAdvanced bool   `json:"watermarkAdvanced"`
-}
-
-// RepairResponse is the /admin/repair body.
+// RepairResponse is the /admin/repair body: one entry per peer round.
 type RepairResponse struct {
-	Rounds []RepairRound `json:"rounds"`
-	Error  string        `json:"error,omitempty"`
-}
-
-func repairRounds(stats []antientropy.Stats) []RepairRound {
-	out := make([]RepairRound, 0, len(stats))
-	for _, st := range stats {
-		out = append(out, RepairRound{
-			Partition:         st.Partition,
-			Peer:              string(st.Peer),
-			InSync:            st.InSync,
-			LeavesDiffed:      st.LeavesDiffed,
-			RowsShipped:       st.RowsShipped,
-			RowsPulled:        st.RowsPulled,
-			RowsRepairedLocal: st.RowsRepairedLocal,
-			RowsRepairedPeer:  st.RowsRepairedPeer,
-			Truncated:         st.Truncated,
-			WatermarkAdvanced: st.WatermarkAdvanced,
-		})
-	}
-	return out
+	Rounds []antientropy.Stats `json:"rounds"`
+	Error  string              `json:"error,omitempty"`
 }
 
 func (s *Server) handleRepair(w http.ResponseWriter, r *http.Request) {
-	if !requirePost(w, r) || !s.requireUDR(w) {
+	if !requirePost(w, r) {
 		return
 	}
-	u := s.cfg.UDR
-	if !u.Config().AntiEntropy {
-		writeJSON(w, http.StatusConflict, errorJSON{Error: "anti-entropy repair is disabled"})
-		return
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.AdminTimeout)
-	defer cancel()
-	var (
-		stats []antientropy.Stats
-		err   error
-	)
-	if part := r.FormValue("partition"); part != "" {
-		stats, err = u.RepairPartition(ctx, part)
-	} else {
-		stats, err = u.RepairAll(ctx)
-	}
-	resp := RepairResponse{Rounds: repairRounds(stats)}
-	if err != nil {
-		resp.Error = err.Error()
-		writeJSON(w, httpCode(err), resp)
-		return
-	}
-	writeJSON(w, http.StatusOK, resp)
+	stats, err := s.cfg.UDR.AdminRepair(r.Context(), r.FormValue("partition"))
+	// "rounds": [] rather than null when no round ran.
+	writeJSON(w, httpStatus(err), RepairResponse{Rounds: append([]antientropy.Stats{}, stats...), Error: errString(err)})
 }
 
 // MoveResponse is the /admin/move body: the migration report.
@@ -423,48 +203,33 @@ type MoveResponse struct {
 }
 
 func moveResponse(rep *rebalance.Report, err error) MoveResponse {
-	resp := MoveResponse{}
-	if rep != nil {
-		resp = MoveResponse{
-			Partition:      rep.Partition,
-			Source:         rep.Source,
-			Target:         rep.Target,
-			Phase:          rep.Phase.String(),
-			RowsCopied:     rep.RowsCopied,
-			Batches:        rep.Batches,
-			CatchUpRecords: rep.CatchUpRecords,
-			FreezeSeconds:  rep.FreezeDuration.Seconds(),
-			Seconds:        rep.Duration.Seconds(),
-			Released:       rep.Released,
-			PeersLeft:      rep.PeersLeftBehind(),
-			Aborted:        rep.Aborted,
-		}
+	if rep == nil {
+		return MoveResponse{Error: errString(err)}
 	}
-	if err != nil {
-		resp.Error = err.Error()
+	return MoveResponse{
+		Partition:      rep.Partition,
+		Source:         rep.Source,
+		Target:         rep.Target,
+		Phase:          rep.Phase.String(),
+		RowsCopied:     rep.RowsCopied,
+		Batches:        rep.Batches,
+		CatchUpRecords: rep.CatchUpRecords,
+		FreezeSeconds:  rep.FreezeDuration.Seconds(),
+		Seconds:        rep.Duration.Seconds(),
+		Released:       rep.Released,
+		PeersLeft:      rep.PeersLeftBehind(),
+		Aborted:        rep.Aborted,
+		Error:          errString(err),
 	}
-	return resp
 }
 
 func (s *Server) handleMove(w http.ResponseWriter, r *http.Request) {
-	if !requirePost(w, r) || !s.requireUDR(w) {
+	if !requirePost(w, r) {
 		return
 	}
-	part := r.FormValue("partition")
-	target := r.FormValue("target")
-	if part == "" || target == "" {
-		writeJSON(w, http.StatusBadRequest, errorJSON{Error: "move wants ?partition= and ?target="})
-		return
-	}
-	release := r.FormValue("release") == "true"
-	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.AdminTimeout)
-	defer cancel()
-	rep, err := s.cfg.UDR.MigratePartition(ctx, part, target, release)
-	if err != nil {
-		writeJSON(w, httpCode(err), moveResponse(rep, err))
-		return
-	}
-	writeJSON(w, http.StatusOK, moveResponse(rep, nil))
+	rep, err := s.cfg.UDR.AdminMove(r.Context(), r.FormValue("partition"), r.FormValue("target"),
+		r.FormValue("release") == "true")
+	writeJSON(w, httpStatus(err), moveResponse(rep, err))
 }
 
 // RebalanceResponse is the /admin/rebalance body.
@@ -476,35 +241,26 @@ type RebalanceResponse struct {
 }
 
 func (s *Server) handleRebalance(w http.ResponseWriter, r *http.Request) {
-	if !requirePost(w, r) || !s.requireUDR(w) {
+	if !requirePost(w, r) {
 		return
 	}
-	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.AdminTimeout)
-	defer cancel()
-	res, err := s.cfg.UDR.Rebalance(ctx)
-	resp := RebalanceResponse{Planned: len(res.Plan), Failed: res.Failed, Moves: []MoveResponse{}}
-	for i, rep := range res.Reports {
-		mv := moveResponse(rep, nil)
-		if rep == nil {
-			mv = MoveResponse{
-				Partition: res.Plan[i].Partition,
-				Source:    res.Plan[i].From,
-				Target:    res.Plan[i].To,
-				Aborted:   true,
-				Error:     "rejected",
+	res, err := s.cfg.UDR.AdminRebalance(r.Context())
+	resp := RebalanceResponse{Moves: []MoveResponse{}, Error: errString(err)}
+	if res != nil {
+		resp.Planned, resp.Failed = len(res.Plan), res.Failed
+		for i, rep := range res.Reports {
+			mv := moveResponse(rep, nil)
+			if rep == nil {
+				mv = MoveResponse{
+					Partition: res.Plan[i].Partition,
+					Source:    res.Plan[i].From,
+					Target:    res.Plan[i].To,
+					Aborted:   true,
+					Error:     "rejected",
+				}
 			}
+			resp.Moves = append(resp.Moves, mv)
 		}
-		resp.Moves = append(resp.Moves, mv)
 	}
-	if err != nil {
-		resp.Error = err.Error()
-		writeJSON(w, httpCode(err), resp)
-		return
-	}
-	if res.Failed > 0 {
-		resp.Error = fmt.Sprintf("%d of %d moves failed", res.Failed, len(res.Plan))
-		writeJSON(w, http.StatusInternalServerError, resp)
-		return
-	}
-	writeJSON(w, http.StatusOK, resp)
+	writeJSON(w, httpStatus(err), resp)
 }

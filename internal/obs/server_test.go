@@ -3,6 +3,8 @@ package obs
 import (
 	"context"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -11,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/ldap"
 	"repro/internal/metrics"
 	"repro/internal/rebalance"
 	"repro/internal/simnet"
@@ -385,5 +388,47 @@ func TestAdminRebalance(t *testing.T) {
 	rb := decode[RebalanceResponse](t, resp)
 	if rb.Failed != 0 || len(rb.Moves) != rb.Planned {
 		t.Fatalf("rebalance report = %+v", rb)
+	}
+}
+
+// TestAdminErrorClasses is DESIGN.md's control-operation error-class
+// table: every class, driven through both codecs, gets its one LDAP
+// result code (udrctl) and its one HTTP status (/admin/*, /status,
+// /trace).
+func TestAdminErrorClasses(t *testing.T) {
+	aborted := func(cause error) error {
+		return fmt.Errorf("%w: p-x se-a->se-b at copy: %w", rebalance.ErrAborted, cause)
+	}
+	for _, tc := range []struct {
+		name  string
+		err   error
+		class core.ErrClass
+		ldap  ldap.ResultCode
+		http  int
+	}{
+		{"success", nil, core.ClassOther, ldap.ResultSuccess, http.StatusOK},
+		{"unknown partition", fmt.Errorf("%w: %q", core.ErrUnknownPartition, "p-x"), core.ClassNotFound, ldap.ResultNoSuchObject, http.StatusNotFound},
+		{"unknown element", fmt.Errorf("%w: %q", core.ErrUnknownElement, "se-x"), core.ClassNotFound, ldap.ResultNoSuchObject, http.StatusNotFound},
+		{"unknown trace", fmt.Errorf("%w: 00000000deadbeef", core.ErrUnknownTrace), core.ClassNotFound, ldap.ResultNoSuchObject, http.StatusNotFound},
+		{"move in flight", fmt.Errorf("%w: p-x", core.ErrMigrationInFlight), core.ClassBusy, ldap.ResultBusy, http.StatusConflict},
+		{"target hosts a copy", aborted(rebalance.ErrConflict), core.ClassConflict, ldap.ResultUnwillingToPerform, http.StatusConflict},
+		{"anti-entropy off", core.ErrAntiEntropyDisabled, core.ClassDisabled, ldap.ResultUnwillingToPerform, http.StatusConflict},
+		{"no topology", core.ErrNoTopology, core.ClassUnavailableHere, ldap.ResultUnwillingToPerform, http.StatusServiceUnavailable},
+		{"malformed", fmt.Errorf("%w: move wants a partition and a target element", core.ErrBadRequest), core.ClassBadRequest, ldap.ResultProtocolError, http.StatusBadRequest},
+		{"admin deadline", aborted(context.DeadlineExceeded), core.ClassTimeout, ldap.ResultTimeLimitExceeded, http.StatusGatewayTimeout},
+		{"partial repair", simnet.ErrUnreachable, core.ClassOther, ldap.ResultOther, http.StatusInternalServerError},
+		{"failed moves", errors.New("1 of 2 moves failed"), core.ClassOther, ldap.ResultOther, http.StatusInternalServerError},
+	} {
+		if tc.err != nil {
+			if got := core.AdminClass(tc.err); got != tc.class {
+				t.Errorf("%s: class %d, want %d", tc.name, got, tc.class)
+			}
+		}
+		if got := core.AdminResult(tc.err).Code; got != tc.ldap {
+			t.Errorf("%s: LDAP %v, want %v", tc.name, got, tc.ldap)
+		}
+		if got := httpStatus(tc.err); got != tc.http {
+			t.Errorf("%s: HTTP %d, want %d", tc.name, got, tc.http)
+		}
 	}
 }

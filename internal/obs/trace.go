@@ -79,24 +79,17 @@ type TraceResponse struct {
 	Roots   []SpanJSON `json:"roots"`
 }
 
-// traceN parses the ?n= listing bound (default def, capped at 256).
-func traceN(r *http.Request, def int) int {
-	n := def
-	if s := r.FormValue("n"); s != "" {
-		if v, err := strconv.Atoi(s); err == nil && v > 0 {
-			n = v
-		}
-	}
-	if n > 256 {
-		n = 256
-	}
+// traceN parses the ?n= listing bound; 0 (absent or malformed) takes
+// the listing's default.
+func traceN(r *http.Request) int {
+	n, _ := strconv.Atoi(r.FormValue("n"))
 	return n
 }
 
-func (s *Server) handleTraceRecent(w http.ResponseWriter, r *http.Request) {
-	tr := s.cfg.Tracer
-	resp := TraceListResponse{SampleRate: tr.SampleRate(), Traces: []TraceSummaryJSON{}}
-	for _, sum := range tr.Recent(traceN(r, 20)) {
+func (s *Server) handleTraceList(w http.ResponseWriter, r *http.Request, slow bool) {
+	rate, sums := s.cfg.UDR.Traces(slow, traceN(r))
+	resp := TraceListResponse{SampleRate: rate, Traces: []TraceSummaryJSON{}}
+	for _, sum := range sums {
 		resp.Traces = append(resp.Traces, TraceSummaryJSON{
 			TraceID: sum.Trace.String(),
 			Spans:   sum.Spans,
@@ -106,32 +99,13 @@ func (s *Server) handleTraceRecent(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-func (s *Server) handleTraceSlow(w http.ResponseWriter, r *http.Request) {
-	tr := s.cfg.Tracer
-	resp := TraceListResponse{SampleRate: tr.SampleRate(), Traces: []TraceSummaryJSON{}}
-	for _, root := range tr.Slow(traceN(r, 10)) {
-		resp.Traces = append(resp.Traces, TraceSummaryJSON{
-			TraceID: root.Trace.String(),
-			Spans:   len(tr.Get(root.Trace)),
-			Root:    spanJSON(root),
-		})
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
 func (s *Server) handleTraceGet(w http.ResponseWriter, r *http.Request) {
-	idStr := strings.TrimPrefix(r.URL.Path, "/trace/")
-	id, err := trace.ParseID(idStr)
+	spans, err := s.cfg.UDR.TraceSpans(strings.TrimPrefix(r.URL.Path, "/trace/"))
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorJSON{Error: "bad trace id: " + idStr})
+		writeJSON(w, httpStatus(err), errorJSON{Error: err.Error()})
 		return
 	}
-	spans := s.cfg.Tracer.Get(id)
-	if len(spans) == 0 {
-		writeJSON(w, http.StatusNotFound, errorJSON{Error: "unknown trace (never sampled, or already overwritten): " + idStr})
-		return
-	}
-	resp := TraceResponse{TraceID: id.String(), Spans: len(spans)}
+	resp := TraceResponse{TraceID: spans[0].Trace.String(), Spans: len(spans)}
 	for _, n := range trace.BuildTree(spans) {
 		resp.Roots = append(resp.Roots, nodeJSON(n))
 	}

@@ -8,7 +8,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/metrics"
+	"repro/internal/simnet"
 	"repro/internal/trace"
 )
 
@@ -22,7 +24,14 @@ func traceServer(t *testing.T) (*trace.Recorder, trace.ID, *httptest.Server) {
 	child.SetAttr("to", "eu-south/poa")
 	child.End(nil)
 	root.End(nil)
-	ts := httptest.NewServer(NewServer(Config{Registry: metrics.NewRegistry(), Tracer: rec}).Handler())
+	cfg := core.DefaultConfig()
+	cfg.Trace = rec
+	u, err := core.New(simnet.New(simnet.FastConfig()), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(u.Stop)
+	ts := httptest.NewServer(NewServer(Config{Registry: metrics.NewRegistry(), UDR: u}).Handler())
 	t.Cleanup(ts.Close)
 	return rec, root.Ctx().Trace, ts
 }

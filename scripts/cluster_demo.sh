@@ -4,9 +4,10 @@
 # against each, one node killed mid-run. Verifies that the survivors
 # keep answering /metrics and /trace/slow while the demo runs, that
 # the killed node exits cleanly with its one-line shutdown summary
-# (ops served, last CSN, traces flushed), and that sampled request
+# (ops served, last CSN, traces flushed), that sampled request
 # traces are reachable over both HTTP and the udrctl LDAP extended
-# op. CI runs this as the cluster-demo job; locally: make cluster-demo.
+# op, and that udrctl status and GET /status report the same
+# placement. CI runs this as the cluster-demo job; locally: make cluster-demo.
 set -eu
 
 HOST="${HOST:-127.0.0.1}"
@@ -93,6 +94,23 @@ grep -q 'spans' "$WORKDIR/trace_cli.txt" || {
     exit 1
 }
 echo "cluster-demo: udrctl trace recent lists sampled traces"
+
+# Both control-plane codecs render one status report: udrctl status
+# (LDAP) and GET /status (HTTP) must name the same master element for
+# a partition.
+"$WORKDIR/udrctl" -addr "$HOST:$(ldap_port 1)" status >"$WORKDIR/status_cli.txt"
+fetch "http://$HOST:$(admin_port 1)/status" "$WORKDIR/status1.json"
+part=$(awk '$1 == "partition" {print $2; exit}' "$WORKDIR/status_cli.txt")
+cli_master=$(awk -v p="$part" '$1 == "partition" && $2 == p {f = 1; next}
+    f && $1 == "master" {print $2; exit}' "$WORKDIR/status_cli.txt")
+http_master=$(awk -v p="\"$part\"," '$1 == "\"id\":" && $2 == p {f = 1}
+    f && $1 == "\"element\":" {gsub(/[",]/, "", $2); print $2; exit}' "$WORKDIR/status1.json")
+if [ -z "$cli_master" ] || [ "$cli_master" != "$http_master" ]; then
+    echo "cluster-demo: FAIL — partition '$part' master: udrctl status '$cli_master', GET /status '$http_master'" >&2
+    cat "$WORKDIR/status_cli.txt" "$WORKDIR/status1.json" >&2
+    exit 1
+fi
+echo "cluster-demo: udrctl status and GET /status agree: $part mastered on $cli_master"
 
 # Kill node 3 mid-run and let the survivors carry on.
 kill -TERM "$PID3"

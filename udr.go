@@ -203,7 +203,7 @@ func NewObsServer(cfg ObsConfig) *ObsServer { return obs.NewServer(cfg) }
 // Request tracing. Wire a Tracer into Config.Trace (and attach it to
 // sessions and front-ends) to get per-request latency attribution
 // across the FE → PoA → SE → WAL/replication path; serve the sampled
-// traces via ObsConfig.Tracer or udrctl trace.
+// traces via an ObsServer over the UDR (GET /trace/*) or udrctl trace.
 type (
 	// Tracer records sampled request traces in lock-striped rings.
 	Tracer = trace.Recorder
