@@ -424,12 +424,13 @@ func TestRepairEndToEnd(t *testing.T) {
 // TestMoveOutlastsDataTimeout pins the admin deadline on the LDAP
 // path: a move whose bulk copy takes longer than the 2 s per-request
 // data timeout must still complete over udrctl, as it does over
-// POST /admin/move. A 20 ms backbone hop makes each 128-row copy
-// batch a 40 ms round trip, so 8 192 rows copy in at least 2.56 s.
+// POST /admin/move. A 10 ms backbone hop makes each 128-row copy
+// batch a ~22 ms round trip, well inside the Migrator's 50 ms
+// per-call timeout, so 16 384 rows copy in ~2.8 s.
 func TestMoveOutlastsDataTimeout(t *testing.T) {
-	const rows = 8192
+	const rows = 16384
 	network := simnet.New(simnet.Config{
-		Backbone: simnet.Link{Latency: 20 * time.Millisecond},
+		Backbone: simnet.Link{Latency: 10 * time.Millisecond},
 		Seed:     1,
 	})
 	cfg := core.DefaultConfig()

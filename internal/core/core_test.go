@@ -494,20 +494,17 @@ func TestSupervisorAutoFailover(t *testing.T) {
 	part, _ := u.Partition(partID)
 	u.Element(part.Master().Element).Crash()
 
-	// Wait for the watchdog to promote.
+	// Wait for the watchdog to count a promotion. It counts only after
+	// Failover returns, so by then the table must show the new master.
 	deadline := time.Now().Add(5 * time.Second)
-	for {
-		p, _ := u.Partition(partID)
-		if p.Master().Element != part.Master().Element {
-			break
-		}
+	for sup.Failovers.Value() == 0 {
 		if time.Now().After(deadline) {
-			t.Fatal("supervisor never failed over")
+			t.Fatal("supervisor never counted a failover")
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
-	if sup.Failovers.Value() == 0 {
-		t.Fatal("failover not counted")
+	if p, _ := u.Partition(partID); p.Master().Element == part.Master().Element {
+		t.Fatal("failover counted but the master did not change")
 	}
 	_ = net
 }

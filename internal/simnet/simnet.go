@@ -19,7 +19,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -339,38 +338,41 @@ func (n *Network) lose(l Link) bool {
 	return n.rng.Float64() < l.Loss
 }
 
-// spinThreshold is the delay below which sleep busy-waits. OS timers
-// on shared hosts have ~1ms granularity, which would flatten the
-// local-vs-backbone asymmetry the experiments measure; sub-
-// millisecond link latencies therefore spin. Longer sleeps use a
-// timer for all but the final spinThreshold and spin the remainder,
-// so multi-millisecond WAN latencies land on target instead of
-// overshooting by the timer granularity (E23 compares commit p50
-// against replica RTTs at 1.5x tolerances).
-const spinThreshold = time.Millisecond
+// timerRounding is how late a Go timer may fire: the runtime's
+// netpoller waits in whole milliseconds, so a timer wakes up to 1 ms
+// after its deadline, which would flatten the sub-millisecond
+// local-vs-backbone asymmetry the experiments measure and overshoot
+// multi-millisecond WAN latencies (E23 compares commit p50 against
+// replica RTTs at 1.5x tolerances). sleep therefore waits on a Go
+// timer, which cancellation can interrupt, for all but the last
+// timerRounding of a delay, and hands the remainder (or the whole
+// delay, when shorter) to waitUntil, which lands on the deadline.
+const timerRounding = time.Millisecond
 
 func sleep(ctx context.Context, d time.Duration) error {
 	if d <= 0 {
 		return ctx.Err()
 	}
 	deadline := time.Now().Add(d)
-	if d >= spinThreshold {
-		t := time.NewTimer(d - spinThreshold)
-		select {
-		case <-t.C:
-		case <-ctx.Done():
-			t.Stop()
-			return ctx.Err()
-		}
-		t.Stop()
-	}
-	for time.Now().Before(deadline) {
-		if err := ctx.Err(); err != nil {
+	if d >= timerRounding {
+		if err := timerWait(ctx, d-timerRounding); err != nil {
 			return err
 		}
-		runtime.Gosched()
 	}
-	return nil
+	return waitUntil(ctx, deadline)
+}
+
+// timerWait waits d on a Go timer, returning ctx's error early if ctx
+// ends first.
+func timerWait(ctx context.Context, d time.Duration) error {
+	t := time.NewTimer(d)
+	defer t.Stop()
+	select {
+	case <-t.C:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
+	}
 }
 
 // lookup fetches the endpoint and partition status under one lock.

@@ -179,36 +179,41 @@ func TestGlitchCancelledHealsEarly(t *testing.T) {
 	}
 }
 
+// A call over the backbone never returns before two one-way hops have
+// elapsed: neither the Go timer nor the sub-millisecond wait fires
+// early.
 func TestBackboneSlowerThanLocal(t *testing.T) {
-	cfg := Config{
-		Local:    Link{Latency: 0},
-		Backbone: Link{Latency: 3 * time.Millisecond},
-		Seed:     1,
-	}
-	n := New(cfg)
-	local := MakeAddr("eu", "srv")
-	remote := MakeAddr("us", "srv")
-	n.Register(local, echoHandler)
-	n.Register(remote, echoHandler)
-	c := MakeAddr("eu", "client")
+	for _, latency := range []time.Duration{3 * time.Millisecond, 300 * time.Microsecond} {
+		cfg := Config{
+			Local:    Link{Latency: 0},
+			Backbone: Link{Latency: latency},
+			Seed:     1,
+		}
+		n := New(cfg)
+		local := MakeAddr("eu", "srv")
+		remote := MakeAddr("us", "srv")
+		n.Register(local, echoHandler)
+		n.Register(remote, echoHandler)
+		c := MakeAddr("eu", "client")
 
-	t0 := time.Now()
-	if _, err := n.Call(context.Background(), c, local, 1); err != nil {
-		t.Fatal(err)
-	}
-	localD := time.Since(t0)
+		t0 := time.Now()
+		if _, err := n.Call(context.Background(), c, local, 1); err != nil {
+			t.Fatal(err)
+		}
+		localD := time.Since(t0)
 
-	t0 = time.Now()
-	if _, err := n.Call(context.Background(), c, remote, 1); err != nil {
-		t.Fatal(err)
-	}
-	remoteD := time.Since(t0)
+		t0 = time.Now()
+		if _, err := n.Call(context.Background(), c, remote, 1); err != nil {
+			t.Fatal(err)
+		}
+		remoteD := time.Since(t0)
 
-	if remoteD < 6*time.Millisecond { // two one-way backbone hops
-		t.Fatalf("backbone RTT = %v, want >= 6ms", remoteD)
-	}
-	if localD > remoteD {
-		t.Fatalf("local %v slower than backbone %v", localD, remoteD)
+		if remoteD < 2*latency { // two one-way backbone hops
+			t.Fatalf("backbone %v: RTT = %v, want >= %v", latency, remoteD, 2*latency)
+		}
+		if localD > remoteD {
+			t.Fatalf("backbone %v: local %v slower than backbone %v", latency, localD, remoteD)
+		}
 	}
 }
 
@@ -261,24 +266,44 @@ func TestSendIntoPartitionSilentlyDropped(t *testing.T) {
 	}
 }
 
+// A context that ends during a link delay ends the call with its error,
+// both on the Go timer (1 s link) and within the sub-millisecond wait
+// (800 us link), never with success.
 func TestContextCancellation(t *testing.T) {
-	cfg := Config{
-		Local:    Link{Latency: time.Second}, // long enough to cancel
-		Backbone: Link{Latency: time.Second},
-		Seed:     1,
+	for _, tc := range []struct{ link, timeout time.Duration }{
+		{time.Second, 5 * time.Millisecond},
+		{800 * time.Microsecond, 300 * time.Microsecond},
+	} {
+		cfg := Config{
+			Local:    Link{Latency: tc.link},
+			Backbone: Link{Latency: tc.link},
+			Seed:     1,
+		}
+		n := New(cfg)
+		dst := MakeAddr("eu", "srv")
+		n.Register(dst, echoHandler)
+		ctx, cancel := context.WithTimeout(context.Background(), tc.timeout)
+		start := time.Now()
+		_, err := n.Call(ctx, MakeAddr("eu", "c"), dst, 1)
+		cancel()
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("link %v, timeout %v: err = %v", tc.link, tc.timeout, err)
+		}
+		if time.Since(start) > 200*time.Millisecond {
+			t.Fatalf("link %v: cancellation did not interrupt the sleep", tc.link)
+		}
 	}
-	n := New(cfg)
-	dst := MakeAddr("eu", "srv")
-	n.Register(dst, echoHandler)
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
-	defer cancel()
-	start := time.Now()
-	_, err := n.Call(ctx, MakeAddr("eu", "c"), dst, 1)
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("err = %v", err)
+}
+
+// A sub-millisecond sleep, the one every near-site hop makes, costs no
+// allocation.
+func TestSleepAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates")
 	}
-	if time.Since(start) > 200*time.Millisecond {
-		t.Fatal("cancellation did not interrupt the sleep")
+	ctx := context.Background()
+	if a := testing.AllocsPerRun(100, func() { _ = sleep(ctx, 300*time.Microsecond) }); a != 0 {
+		t.Fatalf("sleep(300us) allocs = %v, want 0", a)
 	}
 }
 
