@@ -106,26 +106,23 @@ var ErrDurability = errors.New("replication: durability requirement not met")
 // to slave. Batching keeps the replication stream efficient over the
 // high-latency backbone (one round trip amortizes many commits)
 // without weakening the ordering guarantee: records inside a batch
-// are applied strictly in order.
+// are applied strictly in order. Every batch starts at the first
+// record the master has not seen acknowledged, so batches that
+// overtake each other never open a CSN gap; records the slave already
+// holds are skipped. It travels as a pointer owned by the sending
+// worker, and a nil response acknowledges it.
 type ApplyMsg struct {
 	Partition string
 	Recs      []*store.CommitRecord
 }
 
-// ApplyResp acknowledges an ApplyMsg.
-type ApplyResp struct {
-	AppliedCSN uint64
-}
-
 // MMApplyMsg carries a batch of commit records between multi-master
-// peers.
+// peers, as a pointer like ApplyMsg. Re-merging a record is a no-op,
+// so overlapping batches converge.
 type MMApplyMsg struct {
 	Partition string
 	Recs      []*store.CommitRecord
 }
-
-// MMApplyResp acknowledges an MMApplyMsg.
-type MMApplyResp struct{}
 
 // SyncReqMsg asks a peer for every row whose version is not dominated
 // by the requester's (anti-entropy pull).
@@ -292,7 +289,7 @@ func (n *Node) Stop() {
 // element can route them elsewhere.
 func (n *Node) HandleMessage(ctx context.Context, from simnet.Addr, msg any) (resp any, handled bool, err error) {
 	switch m := msg.(type) {
-	case ApplyMsg:
+	case *ApplyMsg:
 		r := n.Replica(m.Partition)
 		if r == nil {
 			return nil, true, fmt.Errorf("replication: unknown partition %q", m.Partition)
@@ -302,8 +299,8 @@ func (n *Node) HandleMessage(ctx context.Context, from simnet.Addr, msg any) (re
 				return nil, true, err
 			}
 		}
-		return ApplyResp{AppliedCSN: r.store.AppliedCSN()}, true, nil
-	case MMApplyMsg:
+		return nil, true, nil
+	case *MMApplyMsg:
 		r := n.Replica(m.Partition)
 		if r == nil {
 			return nil, true, fmt.Errorf("replication: unknown partition %q", m.Partition)
@@ -311,7 +308,7 @@ func (n *Node) HandleMessage(ctx context.Context, from simnet.Addr, msg any) (re
 		for _, rec := range m.Recs {
 			r.mergeRecord(rec)
 		}
-		return MMApplyResp{}, true, nil
+		return nil, true, nil
 	case SyncReqMsg:
 		r := n.Replica(m.Partition)
 		if r == nil {
@@ -723,28 +720,35 @@ func (r *Replica) mergeRecord(rec *store.CommitRecord) {
 	}
 }
 
-// mergeRow merges one incoming row version into the local store.
+// mergeRow merges one incoming row version into the local store. The
+// read-decide-write runs as a compare-and-swap loop: a peer's
+// overlapping batches are merged concurrently, and an older version
+// merged after a newer one must find the newer one and stop, not
+// overwrite it.
 func (r *Replica) mergeRow(in RowTransfer) {
-	localEntry, localMeta, exists := r.store.GetAny(in.Key)
-	if !exists {
-		r.store.PutDirect(in.Key, in.Entry, in.Meta)
-		return
-	}
-	switch localMeta.VC.Compare(in.Meta.VC) {
-	case vclock.Equal: // already have it
-		return
-	case vclock.Before: // incoming dominates
-		r.store.PutDirect(in.Key, in.Entry, in.Meta)
-	case vclock.After: // local dominates
-		return
-	default: // concurrent — true conflict
-		r.mu.Lock()
-		res := r.resolver
-		r.mu.Unlock()
-		r.Conflicts.Inc()
-		merged, mergedMeta := res.Resolve(in.Key, localEntry, localMeta, in.Entry, in.Meta)
-		mergedMeta.VC = localMeta.VC.Merge(in.Meta.VC)
-		r.store.PutDirect(in.Key, merged, mergedMeta)
+	for {
+		localEntry, localMeta, exists := r.store.GetAny(in.Key)
+		merged, mergedMeta, conflict := in.Entry, in.Meta, false
+		if exists {
+			switch localMeta.VC.Compare(in.Meta.VC) {
+			case vclock.Equal, vclock.After: // already have it, or newer
+				return
+			case vclock.Before: // incoming dominates
+			default: // concurrent — true conflict
+				r.mu.Lock()
+				res := r.resolver
+				r.mu.Unlock()
+				merged, mergedMeta = res.Resolve(in.Key, localEntry, localMeta, in.Entry, in.Meta)
+				mergedMeta.VC = localMeta.VC.Merge(in.Meta.VC)
+				conflict = true
+			}
+		}
+		if r.store.CompareAndPut(in.Key, localMeta, exists, merged, mergedMeta) {
+			if conflict {
+				r.Conflicts.Inc()
+			}
+			return
+		}
 	}
 }
 
@@ -910,6 +914,13 @@ const (
 	maxBatch = 256
 )
 
+// pipelineDepth is how many batches a sender keeps in flight to its
+// peer, one worker goroutine each. A commit staged while a batch is on
+// the wire ships at once instead of waiting out that round trip. Four
+// matches commit_quorum_wan's four committers; see DESIGN.md for the
+// measured figures.
+const pipelineDepth = 4
+
 // sendWatch tracks one traced commit awaiting this peer's
 // acknowledgement: the data behind a repl.send span. start is the
 // replication-enqueue instant, shared with the commit's ack-wait span.
@@ -924,26 +935,39 @@ type sendWatch struct {
 // growing without limit.
 const maxSendWatches = 64
 
-// sender ships one replica's commit records to one peer, in order.
+// sender ships one replica's commit records to one peer, in order,
+// with up to pipelineDepth batches in flight.
 type sender struct {
 	r    *Replica
 	peer simnet.Addr
 
-	mu      sync.Mutex
+	mu sync.Mutex
+	// queue holds the records the peer has not acknowledged, in CSN
+	// order; every batch is a copy of its prefix.
 	queue   []*store.CommitRecord
 	watches []sendWatch
 	acked   uint64
+	// sentThrough is the highest CSN a worker has put on the wire
+	// since the last failure; a worker ships only a batch reaching
+	// past it.
+	sentThrough uint64
+	// inFlight counts the workers holding a window slot: shipping, or
+	// backing off after a failed ship.
+	inFlight int
+	// probing collapses the window to one slot after a failed ship,
+	// until a ship succeeds.
+	probing bool
 	// standby excludes the peer from synchronous durability waits
 	// (set once at creation, before the sender is published).
 	standby bool
 	// batchCap is the adaptive per-round-trip record ceiling.
 	batchCap int
-	wake     chan struct{}
-	done     chan struct{}
-
-	// batch is the run loop's scratch slice, reused across round
-	// trips so steady-state shipping allocates nothing per batch.
-	batch []*store.CommitRecord
+	// waking is set while a wake-up is pending: the worker it wakes
+	// will cut every record queued before it runs, so further enqueues
+	// need not wake another.
+	waking bool
+	wake   chan struct{}
+	done   chan struct{}
 
 	batches metrics.Counter
 	records metrics.Counter
@@ -951,6 +975,18 @@ type sender struct {
 	// value means the peer's stream gapped and anti-entropy repair
 	// must re-attach it.
 	shed metrics.Counter
+}
+
+// worker is one pipeline slot's scratch state, reused every round
+// trip so steady-state shipping allocates nothing per batch: the
+// batch, the message that carries it and the watches an ack pops.
+type worker struct {
+	batch []*store.CommitRecord
+	// depth is the queue length when batch was cut.
+	depth int
+	apply ApplyMsg
+	mm    MMApplyMsg
+	acked []sendWatch
 }
 
 func newSender(r *Replica, peer simnet.Addr) *sender {
@@ -961,17 +997,23 @@ func newSender(r *Replica, peer simnet.Addr) *sender {
 		wake:     make(chan struct{}, 1),
 		done:     make(chan struct{}),
 	}
-	go s.run()
+	for range pipelineDepth {
+		go s.run()
+	}
 	return s
 }
 
 func (s *sender) enqueue(rec *store.CommitRecord) {
 	s.mu.Lock()
 	s.queue = append(s.queue, rec)
+	wake := !s.waking
+	s.waking = true
 	s.mu.Unlock()
-	select {
-	case s.wake <- struct{}{}:
-	default:
+	if wake {
+		select {
+		case s.wake <- struct{}{}:
+		default:
+		}
 	}
 }
 
@@ -1002,42 +1044,19 @@ func (s *sender) stop() {
 	}
 }
 
-// run delivers queue records in order, retrying across partitions.
-// Retrying from the first unacknowledged record preserves the
-// master's serialization order at the slave (§3.2); batching
-// amortizes backbone round trips across many commits. The batch
-// slice is owned by this loop and reused every round trip; the batch
-// ceiling adapts to queue depth.
+// run is one pipeline worker. It ships the queue from the first
+// unacknowledged record, so a retry after a failure resends from
+// there and the master's serialization order holds at the slave
+// (§3.2); a batch that overtakes an earlier one carries that one's
+// records too, so the peer never sees a CSN gap. Batching amortizes
+// backbone round trips across many commits. Any worker that frees a
+// slot looks for work again before it waits, so no record is left
+// behind an idle window.
 func (s *sender) run() {
+	var w worker
 	for {
-		s.mu.Lock()
-		// Per-peer in-flight window: a straggler behind a slow WAN
-		// link sheds its oldest queued records instead of holding them
-		// (and their row images) without bound. The peer's stream gaps
-		// — its next delivered batch is rejected on the CSN gap —
-		// until the periodic anti-entropy repair advances its
-		// watermark and re-attaches it; quorum commits never waited on
-		// it anyway. Shedding happens only here, between round trips,
-		// so the queue prefix always matches the batch in flight.
-		// Standby peers are exempt: migration owns their backlog.
-		if w := s.r.node.InFlightWindow; w > 0 && !s.standby && len(s.queue) > w {
-			drop := len(s.queue) - w
-			clear(s.queue[:drop])
-			m := copy(s.queue, s.queue[drop:])
-			clear(s.queue[m:])
-			s.queue = s.queue[:m]
-			s.shed.Add(int64(drop))
-		}
-		depth := len(s.queue)
-		n := depth
-		if n > s.batchCap {
-			n = s.batchCap
-		}
-		batch := append(s.batch[:0], s.queue[:n]...)
-		s.batch = batch
-		s.mu.Unlock()
-
-		if len(batch) == 0 {
+		batch := s.next(&w)
+		if batch == nil {
 			select {
 			case <-s.done:
 				return
@@ -1045,88 +1064,152 @@ func (s *sender) run() {
 				continue
 			}
 		}
-
-		ctx, cancel := context.WithTimeout(context.Background(), s.r.node.CallTimeout)
 		var msg any
 		if s.r.store.MultiMaster() {
-			msg = MMApplyMsg{Partition: s.r.partition, Recs: batch}
+			w.mm = MMApplyMsg{Partition: s.r.partition, Recs: batch}
+			msg = &w.mm
 		} else {
-			msg = ApplyMsg{Partition: s.r.partition, Recs: batch}
+			w.apply = ApplyMsg{Partition: s.r.partition, Recs: batch}
+			msg = &w.apply
 		}
-		_, err := s.r.node.net.Call(ctx, s.r.node.addr, s.peer, msg)
-		cancel()
+		_, err := s.r.node.net.CallWithin(s.r.node.addr, s.peer, msg, s.r.node.CallTimeout)
+		last := batch[len(batch)-1].CSN
+		// Drop the scratch slice's references, or an idle worker would
+		// pin the last batch's records (and their row images) until its
+		// next round trip overwrites them.
+		clear(batch)
 
 		if err != nil {
+			s.fail()
 			select {
 			case <-s.done:
 				return
 			case <-time.After(s.r.node.RetryInterval):
 			}
+			s.mu.Lock()
+			s.inFlight--
+			s.mu.Unlock()
 			continue
 		}
+		s.ack(&w, len(batch), last)
+	}
+}
 
-		last := batch[len(batch)-1]
-		s.batches.Inc()
-		s.records.Add(int64(len(batch)))
-		s.mu.Lock()
-		// Drop the scratch slice's references too, or an idle sender
-		// would pin the last batch's records (and their row images)
-		// until the next round trip overwrites them.
-		clear(batch)
-		// Compact the queue in place: the retained capacity is reused
-		// by future enqueues and the consumed slots are cleared so
-		// shipped records become collectible immediately.
-		m := copy(s.queue, s.queue[len(batch):])
+// next cuts w's next batch: the queue prefix up to batchCap, if a
+// window slot is free and the prefix reaches past sentThrough. It
+// returns nil when there is nothing new to ship or the window is full.
+func (s *sender) next(w *worker) []*store.CommitRecord {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.waking = false
+	// Per-peer in-flight window: a straggler behind a slow WAN link
+	// sheds its oldest queued records instead of holding them (and
+	// their row images) without bound. The peer's stream gaps — its
+	// next delivered batch is rejected on the CSN gap — until the
+	// periodic anti-entropy repair advances its watermark and
+	// re-attaches it; quorum commits never waited on it anyway.
+	// Standby peers are exempt: migration owns their backlog.
+	if w := s.r.node.InFlightWindow; w > 0 && !s.standby && len(s.queue) > w {
+		drop := len(s.queue) - w
+		clear(s.queue[:drop])
+		m := copy(s.queue, s.queue[drop:])
 		clear(s.queue[m:])
 		s.queue = s.queue[:m]
-		ackedCSN := max(s.acked, last.CSN)
-		// Pop the watches this ack completes. The ack instant is taken
-		// here, before s.acked is published: once it is, another
-		// sender's noteAck can count this peer and wake the commit's
-		// waiter, and the ack-wait span must not end before a counted
-		// peer's send span does.
-		var acked []sendWatch
-		var ackTime time.Time
-		if len(s.watches) > 0 {
-			i := 0
-			for i < len(s.watches) && s.watches[i].csn <= ackedCSN {
-				i++
+		s.shed.Add(int64(drop))
+	}
+	window := pipelineDepth
+	if s.probing {
+		window = 1
+	}
+	n := min(len(s.queue), s.batchCap)
+	if n == 0 || s.inFlight >= window || s.queue[n-1].CSN <= s.sentThrough {
+		return nil
+	}
+	w.batch = append(w.batch[:0], s.queue[:n]...)
+	w.depth = len(s.queue)
+	s.sentThrough = s.queue[n-1].CSN
+	s.inFlight++
+	return w.batch
+}
+
+// fail records a failed ship: the next batch resends from the first
+// unacknowledged record, and the window collapses to the one slot the
+// failed worker keeps through its backoff, so a partitioned peer is
+// probed no more often than by a single worker.
+func (s *sender) fail() {
+	s.mu.Lock()
+	s.sentThrough = s.acked
+	s.probing = true
+	s.mu.Unlock()
+}
+
+// ack completes a successful ship of n records through CSN last: the
+// peer holds every record up to it. Acks of overlapping batches may
+// arrive in any order, so the queue is trimmed by CSN and the
+// acknowledged CSN only rises.
+func (s *sender) ack(w *worker, n int, last uint64) {
+	s.batches.Inc()
+	s.records.Add(int64(n))
+	s.mu.Lock()
+	s.inFlight--
+	s.probing = false
+	ackedCSN := max(s.acked, last)
+	// Compact the queue in place: the retained capacity is reused by
+	// future enqueues and the consumed slots are cleared so shipped
+	// records become collectible immediately.
+	i := 0
+	for i < len(s.queue) && s.queue[i].CSN <= ackedCSN {
+		i++
+	}
+	m := copy(s.queue, s.queue[i:])
+	clear(s.queue[m:])
+	s.queue = s.queue[:m]
+	// Pop the watches this ack completes. The ack instant is taken
+	// here, before s.acked is published: once it is, another sender's
+	// noteAck can count this peer and wake the commit's waiter, and
+	// the ack-wait span must not end before a counted peer's send span
+	// does.
+	w.acked = w.acked[:0]
+	var ackTime time.Time
+	if len(s.watches) > 0 {
+		i := 0
+		for i < len(s.watches) && s.watches[i].csn <= ackedCSN {
+			i++
+		}
+		if i > 0 {
+			ackTime = time.Now()
+			w.acked = append(w.acked, s.watches[:i]...)
+			n := copy(s.watches, s.watches[i:])
+			s.watches = s.watches[:n]
+		}
+	}
+	advanced := ackedCSN > s.acked
+	s.acked = ackedCSN
+	// Adapt the ceiling: a backlog deeper than what we just shipped
+	// means round trips are the bottleneck — grow; a batch well under
+	// the ceiling means traffic is light — shrink back toward minimum
+	// latency.
+	switch {
+	case w.depth > n && s.batchCap < maxBatch:
+		s.batchCap *= 2
+	case n < s.batchCap/2 && s.batchCap > minBatch:
+		s.batchCap /= 2
+	}
+	s.mu.Unlock()
+	if len(w.acked) > 0 {
+		if tr := s.r.node.tracer.Load(); tr != nil {
+			for _, sw := range w.acked {
+				tr.RecordSpan(sw.tc, "repl.send", string(s.r.node.addr),
+					sw.start, ackTime.Sub(sw.start), nil,
+					trace.Attr{Key: "peer", Value: string(s.peer)},
+					trace.Attr{Key: "csn", Value: fmt.Sprint(sw.csn)})
 			}
-			if i > 0 {
-				ackTime = time.Now()
-				acked = append(acked, s.watches[:i]...)
-				n := copy(s.watches, s.watches[i:])
-				s.watches = s.watches[:n]
-			}
 		}
-		advanced := ackedCSN > s.acked
-		s.acked = ackedCSN
-		// Adapt the ceiling: a backlog deeper than what we just
-		// shipped means round trips are the bottleneck — grow; a
-		// batch well under the ceiling means traffic is light —
-		// shrink back toward minimum latency.
-		switch {
-		case depth > n && s.batchCap < maxBatch:
-			s.batchCap *= 2
-		case n < s.batchCap/2 && s.batchCap > minBatch:
-			s.batchCap /= 2
-		}
-		s.mu.Unlock()
-		if len(acked) > 0 {
-			if tr := s.r.node.tracer.Load(); tr != nil {
-				for _, w := range acked {
-					tr.RecordSpan(w.tc, "repl.send", string(s.r.node.addr),
-						w.start, ackTime.Sub(w.start), nil,
-						trace.Attr{Key: "peer", Value: string(s.peer)},
-						trace.Attr{Key: "csn", Value: fmt.Sprint(w.csn)})
-				}
-			}
-		}
-		if advanced {
-			// Outside s.mu: the replica takes r.mu then s.mu when it
-			// polls acked CSNs, so notifying under s.mu would invert
-			// the lock order.
-			s.r.noteAck()
-		}
+	}
+	if advanced {
+		// Outside s.mu: the replica takes r.mu then s.mu when it polls
+		// acked CSNs, so notifying under s.mu would invert the lock
+		// order.
+		s.r.noteAck()
 	}
 }

@@ -408,7 +408,7 @@ func TestHandleMessageUnknownPartition(t *testing.T) {
 	node := NewNode(n, simnet.MakeAddr("eu", "x"))
 	defer node.Stop()
 	_, handled, err := node.HandleMessage(context.Background(), "eu/y",
-		ApplyMsg{Partition: "nope", Recs: []*store.CommitRecord{{CSN: 1}}})
+		&ApplyMsg{Partition: "nope", Recs: []*store.CommitRecord{{CSN: 1}}})
 	if !handled || err == nil {
 		t.Fatalf("unknown partition: handled=%v err=%v", handled, err)
 	}

@@ -362,17 +362,44 @@ func sleep(ctx context.Context, d time.Duration) error {
 	return waitUntil(ctx, deadline)
 }
 
+// goTimers recycles timerWait's timers, so a hop longer than
+// timerRounding allocates nothing either. Go 1.23 timers may be stopped
+// and reset without draining their channel, so a pooled timer never
+// delivers a stale tick.
+var goTimers sync.Pool
+
 // timerWait waits d on a Go timer, returning ctx's error early if ctx
 // ends first.
 func timerWait(ctx context.Context, d time.Duration) error {
-	t := time.NewTimer(d)
-	defer t.Stop()
+	t, ok := goTimers.Get().(*time.Timer)
+	if ok {
+		t.Reset(d)
+	} else {
+		t = time.NewTimer(d)
+	}
+	defer func() {
+		t.Stop()
+		goTimers.Put(t)
+	}()
 	select {
 	case <-t.C:
 		return nil
 	case <-ctx.Done():
 		return ctx.Err()
 	}
+}
+
+// sleepWithin is sleep clipped to deadline (none when zero): a delay
+// reaching past the deadline sleeps until it and then reports
+// context.DeadlineExceeded, as an expiring context would.
+func sleepWithin(ctx context.Context, deadline time.Time, d time.Duration) error {
+	if !deadline.IsZero() {
+		if rem := time.Until(deadline); d >= rem {
+			_ = sleep(ctx, rem)
+			return context.DeadlineExceeded
+		}
+	}
+	return sleep(ctx, d)
 }
 
 // lookup fetches the endpoint and partition status under one lock.
@@ -401,46 +428,64 @@ func (n *Network) lookup(from, to Addr) (h Handler, l Link, err error) {
 // element's spans nest under the hop. Unsampled requests pay one type
 // assertion; the message is never copied.
 func (n *Network) Call(ctx context.Context, from, to Addr, req any) (any, error) {
+	return n.traced(ctx, time.Time{}, from, to, req)
+}
+
+// CallWithin is Call bounded by a timeout instead of a context, for
+// callers that would otherwise build a context per call: every hop's
+// sleep is clipped to the deadline, and a clipped sleep returns
+// context.DeadlineExceeded. The handler sees context.Background(). With
+// a pointer request and a nil response, a call whose hops are shorter
+// than timerRounding allocates nothing.
+func (n *Network) CallWithin(from, to Addr, req any, timeout time.Duration) (any, error) {
+	return n.traced(context.Background(), time.Now().Add(timeout), from, to, req)
+}
+
+// traced records the net.call span of a sampled trace.Carrier request
+// around call.
+func (n *Network) traced(ctx context.Context, deadline time.Time, from, to Addr, req any) (any, error) {
 	if tr := n.tracer.Load(); tr != nil {
 		if c, ok := req.(trace.Carrier); ok {
 			if tc := c.TraceCtx(); tc.Sampled && tc.Valid() {
 				span := tr.StartChild(tc, "net.call", string(from))
 				span.SetAttr("to", string(to))
-				resp, err := n.call(ctx, from, to, c.WithTraceCtx(span.Ctx()))
+				resp, err := n.call(ctx, deadline, from, to, c.WithTraceCtx(span.Ctx()))
 				span.End(err)
 				return resp, err
 			}
 		}
 	}
-	return n.call(ctx, from, to, req)
+	return n.call(ctx, deadline, from, to, req)
 }
 
-func (n *Network) call(ctx context.Context, from, to Addr, req any) (any, error) {
+// call is one exchange; every sleep is clipped to deadline (none when
+// zero) as well as bounded by ctx.
+func (n *Network) call(ctx context.Context, deadline time.Time, from, to Addr, req any) (any, error) {
 	n.Messages.Inc()
 	h, l, err := n.lookup(from, to)
 	if err != nil {
 		if err == ErrNoEndpoint {
 			return nil, err
 		}
-		if serr := sleep(ctx, l.Timeout); serr != nil {
+		if serr := sleepWithin(ctx, deadline, l.Timeout); serr != nil {
 			return nil, serr
 		}
 		return nil, ErrUnreachable
 	}
 	if n.lose(l) {
 		n.Drops.Inc()
-		if serr := sleep(ctx, l.Timeout); serr != nil {
+		if serr := sleepWithin(ctx, deadline, l.Timeout); serr != nil {
 			return nil, serr
 		}
 		return nil, ErrLost
 	}
-	if err := sleep(ctx, n.delay(l)); err != nil {
+	if err := sleepWithin(ctx, deadline, n.delay(l)); err != nil {
 		return nil, err
 	}
 	// The partition may have started while the request was in
 	// flight; in that case the response never arrives.
 	if !n.Reachable(from, to) {
-		if serr := sleep(ctx, l.Timeout); serr != nil {
+		if serr := sleepWithin(ctx, deadline, l.Timeout); serr != nil {
 			return nil, serr
 		}
 		return nil, ErrUnreachable
@@ -451,12 +496,12 @@ func (n *Network) call(ctx context.Context, from, to Addr, req any) (any, error)
 	}
 	if n.lose(l) {
 		n.Drops.Inc()
-		if serr := sleep(ctx, l.Timeout); serr != nil {
+		if serr := sleepWithin(ctx, deadline, l.Timeout); serr != nil {
 			return nil, serr
 		}
 		return nil, ErrLost
 	}
-	if err := sleep(ctx, n.delay(l)); err != nil {
+	if err := sleepWithin(ctx, deadline, n.delay(l)); err != nil {
 		return nil, err
 	}
 	return resp, nil

@@ -381,3 +381,48 @@ func TestUnregister(t *testing.T) {
 		t.Fatalf("err = %v", err)
 	}
 }
+
+// CallWithin's deadline interrupts a hop both on the Go timer (1 s
+// link) and within the sub-millisecond wait (800 us link), never with
+// success.
+func TestCallWithinTimeout(t *testing.T) {
+	for _, tc := range []struct{ link, timeout time.Duration }{
+		{time.Second, 5 * time.Millisecond},
+		{800 * time.Microsecond, 300 * time.Microsecond},
+	} {
+		n := New(Config{Local: Link{Latency: tc.link}, Seed: 1})
+		dst := MakeAddr("eu", "srv")
+		n.Register(dst, echoHandler)
+		start := time.Now()
+		_, err := n.CallWithin(MakeAddr("eu", "c"), dst, 1, tc.timeout)
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("link %v, timeout %v: err = %v", tc.link, tc.timeout, err)
+		}
+		if el := time.Since(start); el > 200*time.Millisecond || el < tc.timeout {
+			t.Fatalf("link %v, timeout %v: returned after %v", tc.link, tc.timeout, el)
+		}
+	}
+}
+
+// A call with a pointer request and a nil response allocates nothing:
+// neither the 300 us round trip of a near-site hop nor a 3 ms one,
+// whose hops also wait on a (pooled) Go timer.
+func TestCallWithinAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates")
+	}
+	for _, oneWay := range []time.Duration{150 * time.Microsecond, 1500 * time.Microsecond} {
+		n := New(Config{Local: Link{Latency: oneWay}, Seed: 1})
+		src, dst := MakeAddr("eu", "c"), MakeAddr("eu", "srv")
+		n.Register(dst, func(context.Context, Addr, any) (any, error) { return nil, nil })
+		req := new(int)
+		call := func() {
+			if _, err := n.CallWithin(src, dst, req, time.Second); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if a := testing.AllocsPerRun(100, call); a != 0 {
+			t.Fatalf("CallWithin(%v round trip) allocs = %v, want 0", 2*oneWay, a)
+		}
+	}
+}
