@@ -10,6 +10,10 @@
 //	udrbench -run E3      # one experiment
 //	udrbench -quick       # reduced populations (CI-sized)
 //	udrbench -list        # show the experiment index
+//
+// An experiment whose figures benchmark/ measures (E18, E23) prints
+// the benchmark command, the metrics and the tests that assert its
+// claims instead of running.
 package main
 
 import (
@@ -53,6 +57,11 @@ func main() {
 	opts := experiments.Options{Quick: *quick, Seed: *seed}
 	failed := 0
 	for _, id := range ids {
+		if p, ok := experiments.Pointer(id); ok {
+			title, _, _ := experiments.Describe(id)
+			fmt.Printf("=== %s: %s ===\n%s\n\n", id, title, p)
+			continue
+		}
 		start := time.Now()
 		rep, err := experiments.Run(ctx, id, opts)
 		if err != nil {

@@ -1,7 +1,9 @@
 // Package experiments regenerates every figure and quantitative
-// claim of the paper as a measured experiment (the E1–E15 index in
-// DESIGN.md). Each experiment builds its own UDR topology, drives it,
-// and emits a Report whose rows mirror the series the paper states.
+// claim of the paper as a measured experiment (the E1–E24 index in
+// EXPERIMENTS.md). Each experiment builds its own UDR topology, drives
+// it, and emits a Report whose rows mirror the series the paper
+// states; the few whose figures benchmark/ measures (benchmarked.go)
+// have no driver and point there instead.
 //
 // Experiments run at a compressed time/size scale; each report
 // records the scale used so EXPERIMENTS.md can state paper-vs-
@@ -156,12 +158,28 @@ type entry struct {
 	title  string
 	source string // paper section / figure
 	run    Runner
+	// pointer, set instead of run, says where an experiment whose
+	// figures benchmark/ measures is run and which tests assert its
+	// claims.
+	pointer string
 }
 
 var registry = map[string]entry{}
 
 func register(id, title, source string, run Runner) {
 	registry[id] = entry{id: id, title: title, source: source, run: run}
+}
+
+// registerPointer indexes an experiment that has no driver here.
+func registerPointer(id, title, source, pointer string) {
+	registry[id] = entry{id: id, title: title, source: source, pointer: pointer}
+}
+
+// Pointer returns where an experiment without a driver here is
+// measured and asserted; ok is false for every other ID.
+func Pointer(id string) (pointer string, ok bool) {
+	e := registry[id]
+	return e.pointer, e.pointer != ""
 }
 
 // IDs returns all experiment IDs, sorted.
@@ -199,18 +217,8 @@ func Run(ctx context.Context, id string, opts Options) (*Report, error) {
 	if !ok {
 		return nil, fmt.Errorf("experiments: unknown experiment %q (have %v)", id, IDs())
 	}
-	return e.run(ctx, opts)
-}
-
-// RunAll executes every experiment in ID order.
-func RunAll(ctx context.Context, opts Options) ([]*Report, error) {
-	var out []*Report
-	for _, id := range IDs() {
-		rep, err := Run(ctx, id, opts)
-		if err != nil {
-			return out, fmt.Errorf("%s: %w", id, err)
-		}
-		out = append(out, rep)
+	if e.run == nil {
+		return nil, fmt.Errorf("experiments: %s has no driver here:\n%s", id, e.pointer)
 	}
-	return out, nil
+	return e.run(ctx, opts)
 }

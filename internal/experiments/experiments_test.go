@@ -2,6 +2,9 @@ package experiments
 
 import (
 	"context"
+	"os"
+	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
@@ -21,6 +24,50 @@ func TestRegistryComplete(t *testing.T) {
 		title, source, ok := Describe(id)
 		if !ok || title == "" || source == "" {
 			t.Fatalf("describe(%s) = %q %q %v", id, title, source, ok)
+		}
+	}
+}
+
+// TestPointersNameLiveTests keeps each driverless experiment's
+// pointer honest: it is not runnable, and every test and benchmark
+// metric it names exists.
+func TestPointersNameLiveTests(t *testing.T) {
+	var tests, bench strings.Builder
+	for _, pattern := range []string{"../*/*_test.go", "../../benchmark/*.go"} {
+		files, err := filepath.Glob(pattern)
+		if err != nil || len(files) == 0 {
+			t.Fatalf("glob %s: %v", pattern, err)
+		}
+		for _, f := range files {
+			b, err := os.ReadFile(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if strings.HasSuffix(pattern, "_test.go") {
+				tests.Write(b)
+			} else {
+				bench.Write(b)
+			}
+		}
+	}
+	for _, id := range []string{"E18", "E23"} {
+		p, ok := Pointer(id)
+		if !ok {
+			t.Fatalf("%s has no pointer", id)
+		}
+		if _, err := Run(context.Background(), id, Options{Quick: true}); err == nil {
+			t.Errorf("%s ran without a driver", id)
+		}
+		for _, name := range regexp.MustCompile(`Test\w+`).FindAllString(p, -1) {
+			if !strings.Contains(tests.String(), "func "+name+"(") {
+				t.Errorf("%s names %s, which no test declares", id, name)
+			}
+		}
+		for _, name := range regexp.MustCompile(`\b(wal|replication)\.[a-z_]+`).FindAllString(p, -1) {
+			// A rung's _ns metric is its name plus the suffix.
+			if !strings.Contains(bench.String(), strings.TrimSuffix(name, "_ns")) {
+				t.Errorf("%s names %s, which benchmark/ does not emit", id, name)
+			}
 		}
 	}
 }
@@ -75,7 +122,6 @@ func TestE17Concurrency(t *testing.T)  { runQuick(t, "E17") }
 func TestE19Consistency(t *testing.T)  { runQuick(t, "E19") }
 func TestE20Rebalance(t *testing.T)    { runQuick(t, "E20") }
 func TestE22FECache(t *testing.T)      { runQuick(t, "E22") }
-func TestE23Quorum(t *testing.T)       { runQuick(t, "E23") }
 func TestE24Checkpoint(t *testing.T)   { runQuick(t, "E24") }
 
 func TestReportRendering(t *testing.T) {

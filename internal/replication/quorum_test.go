@@ -3,6 +3,7 @@ package replication
 import (
 	"context"
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
@@ -38,26 +39,71 @@ func TestParseQuorumPolicy(t *testing.T) {
 	}
 }
 
-func TestQuorumMajorityPaysMedianNotMax(t *testing.T) {
-	// Three copies, one slave near (2ms) and one far (30ms): a
-	// majority quorum (master + 1 slave) must complete at roughly the
-	// near slave's RTT, not the far one's.
-	r := newRig(t, 2, "eu", "us", "apac")
+// wanRig is a three-copy rig with one slave near the master (us, 2ms
+// each way) and one far (apac, 30ms). The durability deadline is a
+// second, so a sender starved on a loaded box delays a commit rather
+// than refusing it.
+func wanRig(t *testing.T) (r *rig, near, far simnet.Addr) {
+	r = newTunedRig(t, 2, func(n *Node) { n.CallTimeout = time.Second }, "eu", "us", "apac")
 	r.net.SetLink("eu", "us", simnet.Link{Latency: 2 * time.Millisecond})
 	r.net.SetLink("eu", "apac", simnet.Link{Latency: 30 * time.Millisecond})
-	r.master.SetDurability(Quorum)
+	peers := r.master.Peers()
+	return r, peers[0], peers[1]
+}
 
-	start := time.Now()
-	rec := r.commit(t, "k1", "v1")
-	elapsed := time.Since(start)
-	if elapsed >= 60*time.Millisecond {
-		t.Fatalf("quorum commit took %v, ~max-replica RTT; want ~median", elapsed)
+// ackedBy reports, at one instant, which peers have acknowledged csn.
+func ackedBy(r *Replica, csn uint64) map[simnet.Addr]bool {
+	out := map[simnet.Addr]bool{}
+	for _, s := range r.SenderStats() {
+		out[s.Peer] = s.AckedCSN >= csn
 	}
-	if wm := r.master.QuorumWatermark(); wm < rec.CSN {
-		t.Fatalf("watermark %d < committed CSN %d", wm, rec.CSN)
+	return out
+}
+
+func TestQuorumMajorityPaysMedianNotMax(t *testing.T) {
+	// A majority quorum (master + 1 slave) completes on the near
+	// slave's ack: when Commit returns, the near peer has acknowledged
+	// the record and the far one, a 60ms round trip away, has not.
+	r, near, far := wanRig(t)
+	r.master.SetDurability(Quorum)
+	for i := 0; i < 5; i++ {
+		rec := r.commit(t, fmt.Sprintf("k%d", i), "v")
+		if got := ackedBy(r.master, rec.CSN); !got[near] || got[far] {
+			t.Fatalf("commit %d returned with acks near=%v far=%v, want near only", rec.CSN, got[near], got[far])
+		}
+		if wm := r.master.QuorumWatermark(); wm < rec.CSN {
+			t.Fatalf("watermark %d < committed CSN %d", wm, rec.CSN)
+		}
 	}
 	if got := r.master.QuorumSize(); got != 2 {
 		t.Fatalf("QuorumSize = %d, want 2 (majority of 3)", got)
+	}
+}
+
+func TestQuorumSyncAllWaitsForEveryPeer(t *testing.T) {
+	// Sync-all (§5) pays the slowest replica: when Commit returns, both
+	// peers have acknowledged the record.
+	r, near, far := wanRig(t)
+	r.master.SetDurability(SyncAll)
+	for i := 0; i < 5; i++ {
+		rec := r.commit(t, fmt.Sprintf("k%d", i), "v")
+		if got := ackedBy(r.master, rec.CSN); !got[near] || !got[far] {
+			t.Fatalf("commit %d returned with acks near=%v far=%v, want both", rec.CSN, got[near], got[far])
+		}
+	}
+}
+
+func TestQuorumAsyncWaitsForNothing(t *testing.T) {
+	// The paper's async default (§3.3.1) acknowledges on the local
+	// commit: with both peers cut off, every commit still succeeds.
+	r, near, far := wanRig(t)
+	r.master.SetDurability(Async)
+	r.net.Partition([]string{"us", "apac"})
+	for i := 0; i < 5; i++ {
+		rec := r.commit(t, fmt.Sprintf("k%d", i), "v")
+		if got := ackedBy(r.master, rec.CSN); got[near] || got[far] {
+			t.Fatalf("commit %d acked across a partition: near=%v far=%v", rec.CSN, got[near], got[far])
+		}
 	}
 }
 

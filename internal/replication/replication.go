@@ -859,8 +859,8 @@ func (r *Replica) SyncWith(ctx context.Context, peer simnet.Addr) (merged int, e
 }
 
 // SenderStats describes one peer sender's shipping state: the
-// per-sender throughput and batch-size metrics behind E18's
-// replication column and the OaM lag view.
+// per-sender throughput and batch-size metrics behind the OaM lag
+// view.
 type SenderStats struct {
 	Peer simnet.Addr
 	// AckedCSN is the highest CSN the peer has confirmed.

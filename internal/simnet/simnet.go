@@ -342,11 +342,11 @@ func (n *Network) lose(l Link) bool {
 // netpoller waits in whole milliseconds, so a timer wakes up to 1 ms
 // after its deadline, which would flatten the sub-millisecond
 // local-vs-backbone asymmetry the experiments measure and overshoot
-// multi-millisecond WAN latencies (E23 compares commit p50 against
-// replica RTTs at 1.5x tolerances). sleep therefore waits on a Go
-// timer, which cancellation can interrupt, for all but the last
-// timerRounding of a delay, and hands the remainder (or the whole
-// delay, when shorter) to waitUntil, which lands on the deadline.
+// multi-millisecond WAN latencies (a commit_quorum_wan commit is a
+// replica round trip). sleep therefore waits on a Go timer, which
+// cancellation can interrupt, for all but the last timerRounding of
+// a delay, and hands the remainder (or the whole delay, when shorter)
+// to waitUntil, which lands on the deadline.
 const timerRounding = time.Millisecond
 
 func sleep(ctx context.Context, d time.Duration) error {

@@ -21,8 +21,8 @@
 // record has landed. The AppendStage/WaitDurable split lets the
 // storage element stage under the store's commit lock (preserving
 // WAL order == CSN order) and pay the fsync wait outside it, so
-// commits on one partition overlap their durability waits. E18 and
-// BenchmarkWALGroupCommitParallel measure the amortization.
+// commits on one partition overlap their durability waits. The
+// benchmark's wal.fsyncs_per_commit figure measures the amortization.
 //
 // A Log persists one store (one partition replica) as numbered
 // segment files plus CRC-framed checkpoint images (segment.go,
@@ -100,13 +100,12 @@ type Log struct {
 	// covered by a completed fsync (or snapshot). A ticket is a
 	// stagedSeq value: the record is durable once durableSeq reaches
 	// it.
-	stagedSeq   uint64
-	durableSeq  uint64
-	flushing    bool
-	groupCommit bool
+	stagedSeq  uint64
+	durableSeq uint64
+	flushing   bool
 
-	// appends / syncs count records staged and fsyncs issued: the
-	// group-commit amortization ratio E18 reports.
+	// appends / syncs count records staged and fsyncs issued: their
+	// ratio is the group-commit amortization factor.
 	appends atomic.Uint64
 	syncs   atomic.Uint64
 
@@ -133,9 +132,7 @@ type Log struct {
 	wg           sync.WaitGroup
 }
 
-// Open creates or opens the log in dir. Group commit is enabled by
-// default; SetGroupCommit(false) restores the one-fsync-per-append
-// behavior (the E18 baseline).
+// Open creates or opens the log in dir.
 func Open(dir string, mode Mode) (*Log, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("wal: %w", err)
@@ -174,7 +171,7 @@ func Open(dir string, mode Mode) (*Log, error) {
 	if len(gens) > 0 {
 		gen = gens[len(gens)-1]
 	}
-	l := &Log{dir: dir, mode: mode, file: f, groupCommit: true,
+	l := &Log{dir: dir, mode: mode, file: f,
 		segSeq: seq, firstSeg: first, snapGen: gen}
 	l.cond = sync.NewCond(&l.mu)
 	return l, nil
@@ -185,15 +182,6 @@ func (l *Log) Dir() string { return l.dir }
 
 // Mode returns the durability mode.
 func (l *Log) Mode() Mode { return l.mode }
-
-// SetGroupCommit toggles fsync coalescing in SyncEveryCommit mode.
-// With it off, every Append performs its own flush+fsync while
-// holding the log lock — the seed behavior E18 compares against.
-func (l *Log) SetGroupCommit(on bool) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.groupCommit = on
-}
 
 // Failed returns the write/fsync error that poisoned the log, or nil.
 // A non-nil result is permanent (see the failed field): the disk
@@ -248,27 +236,6 @@ func (l *Log) AppendStage(rec *store.CommitRecord) (ticket uint64, wait bool, er
 	ticket = l.stagedSeq
 	l.appends.Add(1)
 
-	if l.mode == SyncEveryCommit && !l.groupCommit {
-		// Baseline path: one flush+fsync per append, fully serialized
-		// under the log lock (after any in-flight group flush drains).
-		for l.flushing {
-			l.cond.Wait()
-		}
-		// The drained flush may have poisoned or closed the log;
-		// flushing anyway would fake durability on untrusted disk
-		// state.
-		if serr := l.stateErrLocked(); serr != nil {
-			l.mu.Unlock()
-			*bp = payload[:0]
-			encScratch.Put(bp)
-			return 0, false, serr
-		}
-		err = l.flushLocked()
-		l.mu.Unlock()
-		*bp = payload[:0]
-		encScratch.Put(bp)
-		return ticket, false, err
-	}
 	if l.mode == Periodic && len(l.stage) >= periodicSpill && !l.flushing {
 		// Write (no fsync) once the buffer runs full, like the seed's
 		// bufio writer: the periodic mode's at-risk window stays the

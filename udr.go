@@ -344,7 +344,8 @@ func UID(v string) Identity    { return Identity{Type: subscriber.UID, Value: v}
 func DN(id string) string { return subscriber.DN(id) }
 
 // RunExperiment executes one of the paper-reproduction experiments
-// (E1–E19; see EXPERIMENTS.md for the index).
+// (E1–E24; see EXPERIMENTS.md for the index). E18 and E23 are measured
+// by benchmark/ and return an error naming where.
 func RunExperiment(ctx context.Context, id string, opts ExperimentOptions) (*Report, error) {
 	return experiments.Run(ctx, id, opts)
 }
