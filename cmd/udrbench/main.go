@@ -11,9 +11,9 @@
 //	udrbench -quick       # reduced populations (CI-sized)
 //	udrbench -list        # show the experiment index
 //
-// An experiment whose figures benchmark/ measures (E18, E23) prints
-// the benchmark command, the metrics and the tests that assert its
-// claims instead of running.
+// An experiment whose figures benchmark/ measures (E12, E13, E17, E18,
+// E23) prints the benchmark command, the metrics and the tests that
+// assert its claims instead of running.
 package main
 
 import (

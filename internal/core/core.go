@@ -875,9 +875,16 @@ func (u *UDR) choosePartition(region string) (string, error) {
 	return candidates[i], nil
 }
 
+// seedDurabilityWait bounds how long SeedDirect waits for a seeded row
+// whose commit missed its durability deadline to reach its level.
+const seedDurabilityWait = 10 * time.Second
+
 // SeedDirect loads a subscriber straight into the partition master
 // store and every location stage, bypassing the network: bulk test
-// and benchmark setup only.
+// and benchmark setup only. A commit that misses its durability
+// deadline is still applied and keeps shipping, so the stages learn
+// the row either way, and the seed then waits, up to
+// seedDurabilityWait, for the partition's durability level.
 func (u *UDR) SeedDirect(p *subscriber.Profile) error {
 	partID, err := u.choosePartition(p.HomeRegion)
 	if err != nil {
@@ -895,7 +902,7 @@ func (u *UDR) SeedDirect(p *subscriber.Profile) error {
 	rep := masterEl.Replica(partID)
 	txn := rep.Store.Begin(store.ReadCommitted)
 	txn.Put(p.ID, p.ToEntry())
-	if _, err := txn.Commit(); err != nil {
+	if _, err = txn.Commit(); err != nil && !errors.Is(err, replication.ErrDurability) {
 		return err
 	}
 	placement := locator.Placement{SubscriberID: p.ID, Partition: partID}
@@ -904,6 +911,18 @@ func (u *UDR) SeedDirect(p *subscriber.Profile) error {
 		for _, st := range stages {
 			st.PutProfile(ids, placement)
 		}
+	}
+	if err == nil {
+		return nil
+	}
+	ctx, cancel := context.WithTimeout(context.TODO(), seedDurabilityWait)
+	defer cancel()
+	wait := rep.Repl.WaitCaughtUp
+	if rep.Repl.Durability() == replication.Quorum {
+		wait = rep.Repl.WaitQuorum
+	}
+	if werr := wait(ctx); werr != nil {
+		return fmt.Errorf("seed %s: %w; still unmet after %v: %v", p.ID, err, seedDurabilityWait, werr)
 	}
 	return nil
 }

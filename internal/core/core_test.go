@@ -807,3 +807,29 @@ func TestPoAStatsAccumulate(t *testing.T) {
 		t.Fatalf("latency samples = %d", ap.Latency.Count())
 	}
 }
+
+// TestSeedDirectOutlastsDurabilityDeadline cuts the master's site off
+// for longer than the 50 ms durability deadline while a quorum-durable
+// subscriber is seeded. The commit misses its deadline but stays
+// applied and keeps shipping, so the seed must still reach every
+// location stage and return once the heal lets the quorum form.
+func TestSeedDirectOutlastsDurabilityDeadline(t *testing.T) {
+	net, u, _ := testUDR(t, 0, func(c *Config) { c.Durability = replication.Quorum })
+	p := subscriber.NewGenerator(u.Sites()...).Profile(0)
+	net.Partition([]string{p.HomeRegion})
+	go func() {
+		time.Sleep(300 * time.Millisecond)
+		net.Heal()
+	}()
+	if err := u.SeedDirect(p); err != nil {
+		t.Fatalf("seed across a healed cut: %v", err)
+	}
+	ctx := ctxT(t)
+	for _, site := range u.Sites() {
+		for _, id := range p.Identities() {
+			if _, err := u.Stage(site).Lookup(ctx, id); err != nil {
+				t.Fatalf("stage %s lookup %v: %v", site, id, err)
+			}
+		}
+	}
+}

@@ -50,10 +50,14 @@ func runE5(ctx context.Context, opts Options) (*Report, error) {
 
 	// The policy class is the selection (§3.3.2 vs §3.3.3): the
 	// master-only row reads through a PS-policy session.
-	measure := func(session func(*simnet.Network, string) *core.Session) (lat metrics.Snapshot, staleRate float64, err error) {
+	// routed counts the reads served where the policy must send them:
+	// the reader's own site for FE reads, the master at the
+	// subscriber's home region for master-only reads.
+	measure := func(session func(*simnet.Network, string) *core.Session,
+		want func(resp *core.ExecResp, reader, home string) bool) (lat metrics.Snapshot, staleRate float64, routed int, err error) {
 		net, u, reader, target, err := e5Setup(opts)
 		if err != nil {
-			return metrics.Snapshot{}, 0, err
+			return metrics.Snapshot{}, 0, 0, err
 		}
 		defer u.Stop()
 
@@ -72,7 +76,7 @@ func runE5(ctx context.Context, opts Options) (*Report, error) {
 				}}}},
 			})
 			if err != nil {
-				return metrics.Snapshot{}, 0, err
+				return metrics.Snapshot{}, 0, 0, err
 			}
 			// ...and immediately read from the remote site. With
 			// slave reads the local copy may not have caught up:
@@ -83,35 +87,37 @@ func runE5(ctx context.Context, opts Options) (*Report, error) {
 				Ops:      []se.TxnOp{{Kind: se.TxnGet}},
 			})
 			if err != nil {
-				return metrics.Snapshot{}, 0, err
+				return metrics.Snapshot{}, 0, 0, err
 			}
 			hist.Record(time.Since(start))
 			total++
 			if resp.Results[0].Meta.CSN < wr.CSN {
 				stale++
 			}
+			if want(resp, reader, target.HomeRegion) {
+				routed++
+			}
 		}
-		return hist.Snapshot(), float64(stale) / float64(total), nil
+		return hist.Snapshot(), float64(stale) / float64(total), routed, nil
 	}
 
-	withSlaves, staleWith, err := measure(feSession)
+	withSlaves, staleWith, local, err := measure(feSession, servedLocally)
 	if err != nil {
 		return nil, err
 	}
-	masterOnly, staleWithout, err := measure(psSession)
+	masterOnly, staleWithout, atMaster, err := measure(psSession, servedByHomeMaster)
 	if err != nil {
 		return nil, err
 	}
 
-	rep.AddRow("mode", "read p50", "read p95", "stale reads")
+	rep.AddRow("mode", "read p50", "read p95", "stale reads", "served as routed")
 	rep.AddRow("slave reads allowed (paper FE)", withSlaves.P50.String(), withSlaves.P95.String(),
-		fmt.Sprintf("%.1f%%", 100*staleWith))
+		fmt.Sprintf("%.1f%%", 100*staleWith), fmt.Sprintf("%d/%d at the reader's site", local, ops))
 	rep.AddRow("master-only reads", masterOnly.P50.String(), masterOnly.P95.String(),
-		fmt.Sprintf("%.1f%%", 100*staleWithout))
+		fmt.Sprintf("%.1f%%", 100*staleWithout), fmt.Sprintf("%d/%d by the home master", atMaster, ops))
 
-	backbone := netConfig(opts).Backbone.Latency
-	rep.Check("slave reads are faster (LAN vs backbone)", withSlaves.P50 < masterOnly.P50)
-	rep.Check("master-only read pays the backbone RTT", masterOnly.P50 >= 2*backbone)
+	rep.Check("slave reads never cross the backbone (served at the reader's site)", local == ops)
+	rep.Check("master-only reads are served by the master at the home region", atMaster == ops)
 	rep.Check("slave reads can be stale, master reads never", staleWith > 0 && staleWithout == 0)
 	rep.Note("read issued immediately after a remote master write; staleness detected by comparing row CSN to the write's CSN")
 	rep.Note("paper: 'asynchronous replication does not guarantee real-time sync between replicas, there's a certain chance that a read operation on a slave replica gets stale data'")
@@ -136,7 +142,7 @@ func runE6(ctx context.Context, opts Options) (*Report, error) {
 	id := subscriber.Identity{Type: subscriber.IMSI, Value: target.IMSIVal}
 
 	var feHist, psHist metrics.Histogram
-	feStale, psStale := 0, 0
+	feStale, psStale, feLocal, psMaster := 0, 0, 0, 0
 	for i := 0; i < ops; i++ {
 		wr, err := writer.Exec(ctx, core.ExecReq{
 			Identity: id,
@@ -156,6 +162,9 @@ func runE6(ctx context.Context, opts Options) (*Report, error) {
 		if feResp.Results[0].Meta.CSN < wr.CSN {
 			feStale++
 		}
+		if servedLocally(feResp, reader, target.HomeRegion) {
+			feLocal++
+		}
 
 		start = time.Now()
 		psResp, err := psSess.Exec(ctx, core.ExecReq{Identity: id, Ops: []se.TxnOp{{Kind: se.TxnGet}}})
@@ -166,15 +175,31 @@ func runE6(ctx context.Context, opts Options) (*Report, error) {
 		if psResp.Results[0].Meta.CSN < wr.CSN {
 			psStale++
 		}
+		if servedByHomeMaster(psResp, reader, target.HomeRegion) {
+			psMaster++
+		}
 	}
 
 	fe, p := feHist.Snapshot(), psHist.Snapshot()
-	rep.AddRow("client", "routing", "read p50", "stale reads")
-	rep.AddRow("FE", "nearest replica", fe.P50.String(), fmt.Sprintf("%d/%d", feStale, ops))
-	rep.AddRow("PS", "master only", p.P50.String(), fmt.Sprintf("%d/%d", psStale, ops))
+	rep.AddRow("client", "routing", "read p50", "stale reads", "served as routed")
+	rep.AddRow("FE", "nearest replica", fe.P50.String(), fmt.Sprintf("%d/%d", feStale, ops), fmt.Sprintf("%d/%d", feLocal, ops))
+	rep.AddRow("PS", "master only", p.P50.String(), fmt.Sprintf("%d/%d", psStale, ops), fmt.Sprintf("%d/%d", psMaster, ops))
 	rep.Check("PS reads are never stale", psStale == 0)
 	rep.Check("FE reads can be stale under identical load", feStale > 0)
-	rep.Check("PS pays the backbone for remote-mastered data", p.P50 > fe.P50)
+	rep.Check("FE reads never cross the backbone (served at the reader's site)", feLocal == ops)
+	rep.Check("PS reads cross to the master at the home region", psMaster == ops)
 	rep.Note("paper: 'it is not possible to read from a slave replica and write on the master replica within one atomic transaction... the chance of the PS reading stale data is too high'")
 	return rep, nil
+}
+
+// servedLocally reports an FE read answered at the reader's own site:
+// it crossed the backbone zero times.
+func servedLocally(resp *core.ExecResp, reader, _ string) bool {
+	return resp.ServedBy.Site() == reader
+}
+
+// servedByHomeMaster reports a read answered by the master replica at
+// the subscriber's home region, across the backbone from a remote reader.
+func servedByHomeMaster(resp *core.ExecResp, _, home string) bool {
+	return resp.Role == store.Master && resp.ServedBy.Site() == home
 }

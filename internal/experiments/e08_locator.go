@@ -83,14 +83,14 @@ func runE8(ctx context.Context, opts Options) (*Report, error) {
 	// 20-byte subscriber handle, and linear probing at a load factor of
 	// at most 3/4 (≤ 2.5 probes per hit expected). The fixed hash makes
 	// both figures exact for a given population, so the check is
-	// deterministic; the wall-clock rows only illustrate.
+	// deterministic; the wall-clock rows only illustrate. A lookup of
+	// ≤ 2.5 in-memory probes is the paper's "can be neglected" against
+	// the 10ms query budget (§2.3 req 4); the note below prints the share.
 	rep.Check("map state per identity stays bounded as N grows (≤ 80 B and ≤ 2.5 probes per hit)",
 		maxBytes <= 80 && maxProbes <= 2.5)
-	// "Negligible" is relative to the 10ms query budget (§2.3 req 4);
-	// 10µs leaves three orders of magnitude of headroom.
 	last := len(populations) - 1
-	rep.Check("map lookup negligible vs the 10ms budget (the paper's 'can be neglected')",
-		mapTimes[last] < 10*time.Microsecond)
+	rep.Note("map lookup at %d identities: %v, %.4f%% of the 10ms query budget",
+		populations[last], mapTimes[last], 100*float64(mapTimes[last])/float64(10*time.Millisecond))
 
 	// Functional contrast (the reason the paper keeps the maps).
 	stage := locator.NewStage("x", locator.Provisioned, true)

@@ -76,7 +76,7 @@ func runE9(ctx context.Context, opts Options) (*Report, error) {
 	defer u.Stop()
 	// No indexed attributes = no identity index: the SE-side resolution
 	// stays on the paper's full partition scan, the uncushioned miss cost
-	// of §3.5 (E17 measures scan vs index). buildUDR left the UDR quiescent.
+	// of §3.5. buildUDR left the UDR quiescent.
 	for _, id := range u.Elements() {
 		el := u.Element(id)
 		for _, part := range el.Partitions() {

@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -29,8 +30,8 @@ func TestRegistryComplete(t *testing.T) {
 }
 
 // TestPointersNameLiveTests keeps each driverless experiment's
-// pointer honest: it is not runnable, and every test and benchmark
-// metric it names exists.
+// pointer honest: it is not runnable, and every test, benchmark metric
+// and workload it names exists.
 func TestPointersNameLiveTests(t *testing.T) {
 	var tests, bench strings.Builder
 	for _, pattern := range []string{"../*/*_test.go", "../../benchmark/*.go"} {
@@ -50,25 +51,38 @@ func TestPointersNameLiveTests(t *testing.T) {
 			}
 		}
 	}
-	for _, id := range []string{"E18", "E23"} {
+	testRE := regexp.MustCompile(`Test\w+`)
+	metricRE := regexp.MustCompile(`\b(store|se|locator|core|fecache|ldap|wal|replication|simnet|fe)\.[a-z_]+`)
+	workloadRE := regexp.MustCompile(`--workload (\w+)`)
+	var pointed []string
+	for _, id := range IDs() {
 		p, ok := Pointer(id)
 		if !ok {
-			t.Fatalf("%s has no pointer", id)
+			continue
 		}
+		pointed = append(pointed, id)
 		if _, err := Run(context.Background(), id, Options{Quick: true}); err == nil {
 			t.Errorf("%s ran without a driver", id)
 		}
-		for _, name := range regexp.MustCompile(`Test\w+`).FindAllString(p, -1) {
+		for _, name := range testRE.FindAllString(p, -1) {
 			if !strings.Contains(tests.String(), "func "+name+"(") {
 				t.Errorf("%s names %s, which no test declares", id, name)
 			}
 		}
-		for _, name := range regexp.MustCompile(`\b(wal|replication)\.[a-z_]+`).FindAllString(p, -1) {
+		for _, name := range metricRE.FindAllString(p, -1) {
 			// A rung's _ns metric is its name plus the suffix.
 			if !strings.Contains(bench.String(), strings.TrimSuffix(name, "_ns")) {
 				t.Errorf("%s names %s, which benchmark/ does not emit", id, name)
 			}
 		}
+		for _, m := range workloadRE.FindAllStringSubmatch(p, -1) {
+			if !strings.Contains(bench.String(), `name: "`+m[1]+`"`) {
+				t.Errorf("%s names workload %s, which benchmark/ does not define", id, m[1])
+			}
+		}
+	}
+	if want := []string{"E12", "E13", "E17", "E18", "E23"}; !slices.Equal(pointed, want) {
+		t.Fatalf("pointers registered for %v, want %v", pointed, want)
 	}
 }
 
@@ -113,12 +127,9 @@ func TestE8Locator(t *testing.T)       { runQuick(t, "E8") }
 func TestE9ScaleOut(t *testing.T)      { runQuick(t, "E9") }
 func TestE10Batch(t *testing.T)        { runQuick(t, "E10") }
 func TestE11MultiMaster(t *testing.T)  { runQuick(t, "E11") }
-func TestE12Durability(t *testing.T)   { runQuick(t, "E12") }
-func TestE13Latency(t *testing.T)      { runQuick(t, "E13") }
 func TestE14FiveNines(t *testing.T)    { runQuick(t, "E14") }
 func TestE15ProcedureOps(t *testing.T) { runQuick(t, "E15") }
 func TestE16AntiEntropy(t *testing.T)  { runQuick(t, "E16") }
-func TestE17Concurrency(t *testing.T)  { runQuick(t, "E17") }
 func TestE19Consistency(t *testing.T)  { runQuick(t, "E19") }
 func TestE20Rebalance(t *testing.T)    { runQuick(t, "E20") }
 func TestE22FECache(t *testing.T)      { runQuick(t, "E22") }

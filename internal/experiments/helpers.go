@@ -21,8 +21,7 @@ func sizes(opts Options) (subs, ops int) {
 // netConfig returns the experiment network: measurable local-vs-
 // backbone asymmetry at a compressed scale (paper backbone one-way
 // delays of tens of ms are scaled ~10x down; reports note the
-// scale). Local latencies stay under the simnet spin threshold so
-// they are accurate despite coarse OS timers.
+// scale).
 func netConfig(opts Options) simnet.Config {
 	cfg := simnet.Config{
 		Local:    simnet.Link{Latency: 30 * time.Microsecond, Timeout: 4 * time.Millisecond},

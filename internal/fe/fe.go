@@ -63,7 +63,7 @@ func (k Kind) String() string {
 	return "HLR-FE"
 }
 
-// ProcStats aggregates per-procedure measurements for E13/E15.
+// ProcStats aggregates per-procedure measurements for E15.
 type ProcStats struct {
 	Invocations metrics.Counter
 	Ops         metrics.Counter // LDAP operations issued

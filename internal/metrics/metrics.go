@@ -281,33 +281,6 @@ func (h *Histogram) Export() *HistogramExport {
 	return out
 }
 
-// Availability tracks success/failure outcomes and derives an
-// availability ratio, the metric behind the paper's five-nines
-// requirement (§2.3 req 3). The zero value is ready to use.
-type Availability struct {
-	ok   atomic.Int64
-	fail atomic.Int64
-}
-
-// Success records a served request.
-func (a *Availability) Success() { a.ok.Add(1) }
-
-// Failure records a rejected or failed request.
-func (a *Availability) Failure() { a.fail.Add(1) }
-
-// Ratio returns served/(served+failed), or 1 when nothing was recorded:
-// a system that received no requests was never observed unavailable.
-func (a *Availability) Ratio() float64 {
-	ok, fail := a.ok.Load(), a.fail.Load()
-	if ok+fail == 0 {
-		return 1
-	}
-	return float64(ok) / float64(ok+fail)
-}
-
-// Counts returns the raw success and failure counts.
-func (a *Availability) Counts() (ok, fail int64) { return a.ok.Load(), a.fail.Load() }
-
 // Nines converts an availability ratio into "number of nines",
 // e.g. 0.99999 -> 5.0. A ratio of 1 reports +Inf nines.
 func Nines(ratio float64) float64 {

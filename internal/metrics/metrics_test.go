@@ -103,24 +103,6 @@ func TestCounter(t *testing.T) {
 	}
 }
 
-func TestAvailabilityRatio(t *testing.T) {
-	var a Availability
-	if a.Ratio() != 1 {
-		t.Fatalf("empty availability = %v, want 1", a.Ratio())
-	}
-	for i := 0; i < 99; i++ {
-		a.Success()
-	}
-	a.Failure()
-	if got := a.Ratio(); math.Abs(got-0.99) > 1e-9 {
-		t.Fatalf("ratio = %v, want 0.99", got)
-	}
-	ok, fail := a.Counts()
-	if ok != 99 || fail != 1 {
-		t.Fatalf("counts = %d/%d", ok, fail)
-	}
-}
-
 func TestNines(t *testing.T) {
 	cases := []struct {
 		ratio float64

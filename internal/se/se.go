@@ -1008,7 +1008,7 @@ func fillPostImages(resp *TxnResp, ops []TxnOp, rec *store.CommitRecord) {
 // with Config.IdentityIndex answers each replica from its secondary
 // identity index with one map lookup. A store that does not index the
 // attribute is scanned in full — that cost is the reason the paper's
-// provisioned location maps exist, and E9 and E17 measure it on stores
+// provisioned location maps exist, and E9 measures it on stores
 // without the index.
 func (e *Element) find(req FindReq) FindResp {
 	attr, value := req.Identity.Type.Attr(), req.Identity.Value

@@ -2,7 +2,7 @@
 // disk protection (§3.1 decision 1): every store saves its data to
 // local persistent storage on a periodic basis, so a storage-element
 // failure loses at most the un-synced tail of recent commits — the
-// durability window experiments E4 and E12 measure.
+// durability window E4 measures and E12's pointer names.
 //
 // Two modes are supported:
 //

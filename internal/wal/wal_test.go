@@ -84,6 +84,11 @@ func TestUnsyncedTailLost(t *testing.T) {
 	if got := l.Pending(); got != 5 {
 		t.Fatalf("pending = %d, want 5", got)
 	}
+	// Periodic commits issue no fsync of their own: the one sync is
+	// the explicit Sync above (§3.1 fn 6, the cheap end).
+	if got := l.Syncs(); got != 1 {
+		t.Fatalf("syncs = %d after 10 periodic commits and one Sync, want 1", got)
+	}
 	l.Close() // crash: no final sync
 
 	recovered := store.New("r1")
@@ -113,6 +118,11 @@ func TestSyncEveryCommitLosesNothing(t *testing.T) {
 	commitN(t, s, l, 10)
 	if l.Pending() != 0 {
 		t.Fatalf("pending = %d in sync mode", l.Pending())
+	}
+	// Sequential commits have no cohort to share with: every one pays
+	// its own fsync (§3.1 fn 6, the expensive end).
+	if l.Syncs() != l.Appends() {
+		t.Fatalf("syncs = %d, appends = %d: want one fsync per sequential commit", l.Syncs(), l.Appends())
 	}
 	l.Close() // crash is harmless: everything synced
 

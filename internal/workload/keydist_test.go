@@ -20,7 +20,7 @@ func drawCounts(t *testing.T, d KeyDist, n, draws int, seed int64) []int {
 }
 
 func TestKeyDistDeterministic(t *testing.T) {
-	for _, d := range []KeyDist{Uniform{}, Zipfian{S: 1.1}, HotSet{}} {
+	for _, d := range []KeyDist{Uniform{}, Zipfian{S: 1.1}} {
 		a := drawCounts(t, d, 100, 2000, 42)
 		b := drawCounts(t, d, 100, 2000, 42)
 		for i := range a {
@@ -45,16 +45,5 @@ func TestZipfianSkew(t *testing.T) {
 	}
 	if name := (Zipfian{S: 1.3}).Name(); name != "zipf-s1.30" {
 		t.Fatalf("Name() = %q", name)
-	}
-}
-
-func TestHotSetSplit(t *testing.T) {
-	counts := drawCounts(t, HotSet{HotFraction: 0.1, HotProbability: 0.9}, 200, 20000, 11)
-	hot := 0
-	for i := 0; i < 20; i++ {
-		hot += counts[i]
-	}
-	if hot < 17000 || hot > 19500 {
-		t.Fatalf("hot set drew %d/20000, want ≈18000", hot)
 	}
 }

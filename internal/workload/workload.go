@@ -1,111 +1,25 @@
-// Package workload generates the synthetic traffic the experiments
-// drive the UDR with: network-procedure mixes at configurable rates
-// (busy hour), roaming ratios (users leaving their home region,
-// §3.5), and provisioning flows. Production traces are proprietary;
-// the mixes below are derived from the paper's own figures (read-
-// mostly FE traffic, 1–3 ops per mobile procedure, 5–6 per IMS
-// procedure, a continuous trickle of provisioning).
+// Package workload holds the key distributions that decide which
+// subscriber each generated request targets: a flat draw, and a Zipf
+// skew for busy-hour traffic against a small popular subscriber set.
+// benchmark/'s request streams and E22's cache cells draw from them.
 package workload
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
-	"sync"
-	"time"
-
-	"repro/internal/fe"
-	"repro/internal/metrics"
-	"repro/internal/subscriber"
 )
 
-// Procedure names a network procedure the driver can issue.
-type Procedure int
-
-// Driven procedures.
-const (
-	ProcLocationUpdate Procedure = iota
-	ProcAuthenticate
-	ProcMOCall
-	ProcMTCall
-	ProcSMS
-	ProcIMSRegister
-	procCount
-)
-
-// String returns the procedure name.
-func (p Procedure) String() string {
-	switch p {
-	case ProcLocationUpdate:
-		return "LocationUpdate"
-	case ProcAuthenticate:
-		return "Authenticate"
-	case ProcMOCall:
-		return "MOCall"
-	case ProcMTCall:
-		return "MTCall"
-	case ProcSMS:
-		return "SMS"
-	case ProcIMSRegister:
-		return "IMSRegister"
-	}
-	return "Unknown"
-}
-
-// Mix holds relative procedure weights.
-type Mix [procCount]float64
-
-// DefaultMix approximates a busy-hour control-plane mix: mobility and
-// calls dominate, IMS registrations are the rarer heavy procedure.
-func DefaultMix() Mix {
-	var m Mix
-	m[ProcLocationUpdate] = 0.25
-	m[ProcAuthenticate] = 0.20
-	m[ProcMOCall] = 0.20
-	m[ProcMTCall] = 0.15
-	m[ProcSMS] = 0.15
-	m[ProcIMSRegister] = 0.05
-	return m
-}
-
-// ReadOnlyMix issues only read procedures (partition experiments that
-// isolate the read path).
-func ReadOnlyMix() Mix {
-	var m Mix
-	m[ProcMOCall] = 0.4
-	m[ProcMTCall] = 0.3
-	m[ProcSMS] = 0.3
-	return m
-}
-
-// pick selects a procedure by weight.
-func (m Mix) pick(r *rand.Rand) Procedure {
-	total := 0.0
-	for _, w := range m {
-		total += w
-	}
-	x := r.Float64() * total
-	for i, w := range m {
-		x -= w
-		if x < 0 {
-			return Procedure(i)
-		}
-	}
-	return ProcMOCall
-}
-
-// KeyDist selects which subscriber a procedure targets. Pickers are
+// KeyDist selects which subscriber a request targets. Pickers are
 // built per driver goroutine around that goroutine's seeded RNG, so a
 // run is reproducible at any concurrency.
 type KeyDist interface {
-	// Name labels the profile in Stats and experiment reports.
+	// Name labels the distribution in reports.
 	Name() string
 	// Picker returns a draw function over [0, n).
 	Picker(r *rand.Rand, n int) func() int
 }
 
-// Uniform is the classic flat draw (the pre-PR-7 behaviour and the
-// default when Config.KeyDist is nil).
+// Uniform is the flat draw.
 type Uniform struct{}
 
 // Name implements KeyDist.
@@ -143,208 +57,4 @@ func (z Zipfian) Picker(r *rand.Rand, n int) func() int {
 	}
 	zf := rand.NewZipf(r, z.skew(), v, uint64(n-1))
 	return func() int { return int(zf.Uint64()) }
-}
-
-// HotSet models a registration storm: a fraction of subscribers (the
-// first HotFraction of the population) receives HotProbability of the
-// traffic, uniform within each class.
-type HotSet struct {
-	// HotFraction of the population that is hot (default 0.1).
-	HotFraction float64
-	// HotProbability that a draw targets the hot set (default 0.9).
-	HotProbability float64
-}
-
-func (h HotSet) params() (frac, prob float64) {
-	frac, prob = h.HotFraction, h.HotProbability
-	if frac <= 0 || frac >= 1 {
-		frac = 0.1
-	}
-	if prob <= 0 || prob > 1 {
-		prob = 0.9
-	}
-	return frac, prob
-}
-
-// Name implements KeyDist.
-func (h HotSet) Name() string {
-	frac, prob := h.params()
-	return fmt.Sprintf("hotset-%.0f/%.0f", frac*100, prob*100)
-}
-
-// Picker implements KeyDist.
-func (h HotSet) Picker(r *rand.Rand, n int) func() int {
-	frac, prob := h.params()
-	hot := int(frac * float64(n))
-	if hot < 1 {
-		hot = 1
-	}
-	if hot >= n {
-		return func() int { return r.Intn(n) }
-	}
-	return func() int {
-		if r.Float64() < prob {
-			return r.Intn(hot)
-		}
-		return hot + r.Intn(n-hot)
-	}
-}
-
-// Stats aggregates a driver run.
-type Stats struct {
-	// Issued and Failed count procedures (Failed counts availability
-	// failures only; business denials count as served).
-	Issued metrics.Counter
-	Failed metrics.Counter
-	// Latency across all procedures.
-	Latency metrics.Histogram
-	// Availability derived from Issued/Failed.
-	Availability metrics.Availability
-	// PerProc counts per procedure.
-	PerProc [procCount]metrics.Counter
-	// Profile names the key distribution that drove the run.
-	Profile string
-}
-
-// Config drives a workload run.
-type Config struct {
-	// Subscribers are the target population (profiles must already
-	// be provisioned).
-	Subscribers []*subscriber.Profile
-	// FEs are the front-ends to spread procedures over. Procedures
-	// run on the FE in the subscriber's home region unless a roaming
-	// draw moves them elsewhere.
-	FEs []*fe.FE
-	// Mix weights the procedures.
-	Mix Mix
-	// RoamingRatio is the probability a procedure runs on a
-	// non-home-region front-end (§3.5: "users stay within the home
-	// region of the subscription most of the time").
-	RoamingRatio float64
-	// Concurrency is the number of driver goroutines.
-	Concurrency int
-	// Ops bounds the total procedures issued (0 = until ctx ends).
-	Ops int
-	// Seed for reproducibility.
-	Seed int64
-	// KeyDist selects which subscriber each procedure targets
-	// (default Uniform{}). Zipfian/HotSet model busy-hour hot-key
-	// traffic against a small popular subscriber set.
-	KeyDist KeyDist
-}
-
-// Run drives the workload until ctx is cancelled or cfg.Ops
-// procedures have been issued.
-func Run(ctx context.Context, cfg Config) *Stats {
-	if cfg.Concurrency <= 0 {
-		cfg.Concurrency = 4
-	}
-	if cfg.KeyDist == nil {
-		cfg.KeyDist = Uniform{}
-	}
-	stats := &Stats{Profile: cfg.KeyDist.Name()}
-	var remaining chan struct{}
-	if cfg.Ops > 0 {
-		remaining = make(chan struct{}, cfg.Ops)
-		for i := 0; i < cfg.Ops; i++ {
-			remaining <- struct{}{}
-		}
-		close(remaining)
-	}
-
-	feBySite := make(map[string][]*fe.FE)
-	for _, f := range cfg.FEs {
-		feBySite[f.Site()] = append(feBySite[f.Site()], f)
-	}
-
-	var wg sync.WaitGroup
-	for w := 0; w < cfg.Concurrency; w++ {
-		wg.Add(1)
-		go func(seed int64) {
-			defer wg.Done()
-			r := rand.New(rand.NewSource(seed))
-			pick := cfg.KeyDist.Picker(r, len(cfg.Subscribers))
-			for {
-				if remaining != nil {
-					if _, ok := <-remaining; !ok {
-						return
-					}
-				}
-				select {
-				case <-ctx.Done():
-					return
-				default:
-				}
-				issueOne(ctx, cfg, stats, r, pick, feBySite)
-			}
-		}(cfg.Seed + int64(w))
-	}
-	wg.Wait()
-	return stats
-}
-
-// issueOne picks a subscriber, front-end and procedure, runs it, and
-// records the outcome.
-func issueOne(ctx context.Context, cfg Config, stats *Stats, r *rand.Rand, pick func() int, feBySite map[string][]*fe.FE) {
-	sub := cfg.Subscribers[pick()]
-
-	// Choose the serving front-end: home region unless roaming.
-	var pool []*fe.FE
-	if r.Float64() < cfg.RoamingRatio {
-		// Roaming: any non-home site (fall back to all).
-		for site, fes := range feBySite {
-			if site != sub.HomeRegion {
-				pool = append(pool, fes...)
-			}
-		}
-	}
-	if len(pool) == 0 {
-		pool = feBySite[sub.HomeRegion]
-	}
-	if len(pool) == 0 {
-		pool = cfg.FEs
-	}
-	f := pool[r.Intn(len(pool))]
-
-	proc := cfg.Mix.pick(r)
-	// IMS registration needs an HSS front-end and an IMS-enabled
-	// subscription; degrade to authentication otherwise.
-	if proc == ProcIMSRegister && (f.Kind() != fe.HSS || !sub.Services.IMSEnabled || len(sub.IMPUVals) == 0) {
-		proc = ProcAuthenticate
-	}
-
-	start := time.Now()
-	var err error
-	switch proc {
-	case ProcLocationUpdate:
-		err = f.LocationUpdate(ctx, sub.IMSIVal, "mme-"+f.Site(), "area-"+f.Site(), f.Site() != sub.HomeRegion)
-	case ProcAuthenticate:
-		_, err = f.Authenticate(ctx, sub.IMSIVal)
-	case ProcMOCall:
-		err = f.MOCall(ctx, sub.MSISDNVal, r.Float64() < 0.05)
-	case ProcMTCall:
-		_, err = f.MTCall(ctx, sub.MSISDNVal)
-	case ProcSMS:
-		_, err = f.SMSDeliver(ctx, sub.MSISDNVal)
-	case ProcIMSRegister:
-		err = f.IMSRegister(ctx, sub.IMPUVals[0], "scscf-"+f.Site())
-	}
-	stats.Latency.Record(time.Since(start))
-	stats.Issued.Inc()
-	stats.PerProc[proc].Inc()
-	if err != nil && !isBusiness(err) {
-		stats.Failed.Inc()
-		stats.Availability.Failure()
-	} else {
-		stats.Availability.Success()
-	}
-}
-
-func isBusiness(err error) bool {
-	for _, b := range []error{fe.ErrBarred, fe.ErrInactive, fe.ErrNotIMS} {
-		if err == b {
-			return true
-		}
-	}
-	return false
 }
