@@ -274,17 +274,17 @@ func TestOrderTargetsPolicies(t *testing.T) {
 	part, _ := u.Partition(partID)
 
 	// FE read-only: nearest (local) replica first.
-	targets := ap.orderTargets(nil, part, ExecReq{ReadOnly: true, Policy: PolicyFE}, false)
+	targets := ap.orderTargets(nil, part, &ExecReq{ReadOnly: true, Policy: PolicyFE}, false)
 	if len(targets) != 3 || targets[0].Site != site {
 		t.Fatalf("FE read targets = %+v", targets)
 	}
 	// FE write: master only.
-	targets = ap.orderTargets(nil, part, ExecReq{ReadOnly: false, Policy: PolicyFE}, false)
+	targets = ap.orderTargets(nil, part, &ExecReq{ReadOnly: false, Policy: PolicyFE}, false)
 	if len(targets) != 1 || targets[0] != part.Master() {
 		t.Fatalf("FE write targets = %+v", targets)
 	}
 	// PS read: master only.
-	targets = ap.orderTargets(nil, part, ExecReq{ReadOnly: true, Policy: PolicyPS}, false)
+	targets = ap.orderTargets(nil, part, &ExecReq{ReadOnly: true, Policy: PolicyPS}, false)
 	if len(targets) != 1 || targets[0] != part.Master() {
 		t.Fatalf("PS read targets = %+v", targets)
 	}

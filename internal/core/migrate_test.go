@@ -423,11 +423,11 @@ func TestMigrateStaleEpochReferral(t *testing.T) {
 	if _, err := u.MigratePartition(ctxT(t), partID, target, false); err != nil {
 		t.Fatal(err)
 	}
-	_, err := net.Call(ctxT(t), simnet.MakeAddr("eu-south", "stale-cli"), oldMaster.Addr, se.TxnReq{
+	_, err := net.Call(ctxT(t), simnet.MakeAddr("eu-south", "stale-cli"), oldMaster.Addr, &se.TxnCall{Req: se.TxnReq{
 		Partition: partID,
 		Epoch:     staleEpoch,
 		Ops:       []se.TxnOp{{Kind: se.TxnGet, Key: profiles[0].ID}},
-	})
+	}})
 	if !errors.Is(err, se.ErrStalePlacement) {
 		t.Fatalf("stale-epoch request got %v, want ErrStalePlacement", err)
 	}

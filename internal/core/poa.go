@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -44,13 +45,6 @@ type ExecReq struct {
 	cacheChecked bool
 }
 
-// TraceCtx implements trace.Carrier.
-func (r ExecReq) TraceCtx() trace.Ctx { return r.Trace }
-
-// WithTraceCtx implements trace.Carrier: the network uses it to nest
-// the PoA's spans under the per-hop net.call span.
-func (r ExecReq) WithTraceCtx(tc trace.Ctx) any { r.Trace = tc; return r }
-
 // ExecResp reports the outcome.
 type ExecResp struct {
 	Results      []se.OpResult
@@ -59,6 +53,76 @@ type ExecResp struct {
 	Role         store.Role
 	Partition    string
 	SubscriberID string
+	// one backs Results for a single-op transaction, so a response
+	// carries its result without an allocation of its own.
+	one [1]se.OpResult
+}
+
+// setResults points r.Results at rs, copying a single result into r's
+// own inline slot: a single result usually lives in the envelope of
+// the hop that produced it, which its caller reuses. Longer lists are
+// heap arrays the storage element allocated for this call alone.
+func (r *ExecResp) setResults(rs []se.OpResult) {
+	switch len(rs) {
+	case 0:
+		r.Results = nil
+	case 1:
+		r.one[0] = rs[0]
+		r.Results = r.one[:1]
+	default:
+		r.Results = rs
+	}
+}
+
+// setCached shapes a cache hit as a normal response carrying the
+// Cached role, so clients and the consistency checkers can account
+// for cache-served reads.
+func (r *ExecResp) setCached(servedBy simnet.Addr, key string, v fecache.Value) {
+	*r = ExecResp{
+		CSN:          v.Meta.CSN,
+		ServedBy:     servedBy,
+		Role:         store.Cached,
+		Partition:    v.Part,
+		SubscriberID: key,
+	}
+	r.one[0] = se.OpResult{Entry: v.Entry, Meta: v.Meta, Found: v.Found}
+	r.Results = r.one[:1]
+}
+
+// ExecCall is the envelope an ExecReq crosses the network to a PoA
+// in: the caller fills Req and passes the pointer to simnet.Call, and
+// the PoA fills Resp in place and returns the same pointer, so neither
+// direction boxes a struct into an interface. The caller owns the
+// envelope for the duration of the call — simnet runs the handler on
+// the caller's goroutine, and it has returned when Call does — and
+// may reuse it afterwards, so it must never travel through the
+// asynchronous simnet.Send. A single result lives inside the
+// envelope; a caller that hands the response on copies it out first
+// (Session.Exec does). Ops, Mods, entries and multi-op Results arrays
+// belong to the caller and the store, never to the envelope.
+type ExecCall struct {
+	Req  ExecReq
+	Resp ExecResp
+	// txn is the PoA's own hop to a storage element, borrowed for the
+	// duration of the handler.
+	txn se.TxnCall
+}
+
+// TraceCtx implements trace.Carrier.
+func (c *ExecCall) TraceCtx() trace.Ctx { return c.Req.Trace }
+
+// WithTraceCtx implements trace.Carrier in place: the network uses it
+// to nest the PoA's spans under the per-hop net.call span.
+func (c *ExecCall) WithTraceCtx(tc trace.Ctx) any { c.Req.Trace = tc; return c }
+
+// execCalls recycles sessions' ExecCall envelopes.
+var execCalls = sync.Pool{New: func() any { return new(ExecCall) }}
+
+// releaseExecCall zeroes c, dropping every reference it holds to the
+// caller's request and the store's rows, and returns it to the pool.
+func releaseExecCall(c *ExecCall) {
+	*c = ExecCall{}
+	execCalls.Put(c)
 }
 
 // ProvisionReq creates a subscription (PS traffic). The placement
@@ -192,11 +256,20 @@ func (ap *AccessPoint) handle(ctx context.Context, from simnet.Addr, msg any) (a
 	var resp any
 	var traceID string
 	switch m := msg.(type) {
-	case ExecReq:
-		if m.Trace.Sampled {
-			traceID = m.Trace.Trace.String()
+	case *ExecCall:
+		if m.Req.Trace.Sampled {
+			traceID = m.Req.Trace.Trace.String()
 		}
-		resp, err = ap.exec(ctx, m)
+		if err = ap.exec(ctx, m); err == nil {
+			resp = m
+		}
+	case ExecReq:
+		// Value form, boxed both ways: kept only for benchmark/ladder.go's
+		// per-layer rungs until they move to the envelope.
+		c := &ExecCall{Req: m}
+		if err = ap.exec(ctx, c); err == nil {
+			resp = c.Resp
+		}
 	case ProvisionReq:
 		resp, err = ap.provision(ctx, m)
 	case DeprovisionReq:
@@ -241,31 +314,35 @@ func (ap *AccessPoint) locate(ctx context.Context, id subscriber.Identity) (loca
 //	read-only + PS  → master only (§3.3.3);
 //	writes          → master only (§3.2); in multi-master mode (§5)
 //	                  nearest replica.
-func (ap *AccessPoint) exec(ctx context.Context, req ExecReq) (ExecResp, error) {
-	if tr := ap.u.Tracer(); tr != nil && req.Trace.Valid() {
-		span := tr.StartChild(req.Trace, "poa.exec", string(ap.addr))
-		req.Trace = span.Ctx()
+//
+// The outcome lands in c.Resp.
+func (ap *AccessPoint) exec(ctx context.Context, c *ExecCall) error {
+	if tr := ap.u.Tracer(); tr != nil && c.Req.Trace.Valid() {
+		span := tr.StartChild(c.Req.Trace, "poa.exec", string(ap.addr))
+		c.Req.Trace = span.Ctx()
 		// In-process propagation: the locator stage reads the context
 		// to hang its lookup span under poa.exec. Sampled only — the
 		// locator records nothing otherwise, and context injection is
 		// the one allocation on this path.
-		if req.Trace.Sampled {
+		if c.Req.Trace.Sampled {
 			ctx = trace.NewContext(ctx, span.Ctx())
 		}
-		resp, err := ap.execInner(ctx, req)
+		err := ap.execInner(ctx, c)
 		span.End(err)
-		return resp, err
+		return err
 	}
-	return ap.execInner(ctx, req)
+	return ap.execInner(ctx, c)
 }
 
-func (ap *AccessPoint) execInner(ctx context.Context, req ExecReq) (ExecResp, error) {
+func (ap *AccessPoint) execInner(ctx context.Context, c *ExecCall) error {
+	req, resp := &c.Req, &c.Resp
 	cacheable := ap.cacheableRead(req)
 	if cacheable && !req.cacheChecked {
 		if key, ok := cacheLookupKey(ap.cache, req); ok {
 			v, st := ap.cacheProbe(req.Trace, key)
 			if st == fecache.Hit {
-				return cachedResp(ap.addr, key, v), nil
+				resp.setCached(ap.addr, key, v)
+				return nil
 			}
 			req.cacheChecked = true
 		}
@@ -278,13 +355,13 @@ func (ap *AccessPoint) execInner(ctx context.Context, req ExecReq) (ExecResp, er
 		// index in the location maps.
 		p, err := ap.locate(ctx, subscriber.Identity{Type: subscriber.UID, Value: subID})
 		if err != nil {
-			return ExecResp{}, err
+			return err
 		}
 		partID = p.Partition
 	case subID == "":
 		p, err := ap.locate(ctx, req.Identity)
 		if err != nil {
-			return ExecResp{}, err
+			return err
 		}
 		subID, partID = p.SubscriberID, p.Partition
 	}
@@ -312,7 +389,8 @@ func (ap *AccessPoint) execInner(ctx context.Context, req ExecReq) (ExecResp, er
 		v, st := ap.cacheProbe(req.Trace, subID)
 		if st == fecache.Hit {
 			ap.cache.Learn(subID, req.Identity)
-			return cachedResp(ap.addr, subID, v), nil
+			resp.setCached(ap.addr, subID, v)
+			return nil
 		}
 		guarded = st == fecache.Guarded
 	}
@@ -334,17 +412,20 @@ func (ap *AccessPoint) execInner(ctx context.Context, req ExecReq) (ExecResp, er
 			if stage := ap.u.Stage(ap.site); stage != nil {
 				stage.InvalidatePartition(partID)
 			}
-			return ExecResp{}, fmt.Errorf("core: unknown partition %q", partID)
+			return fmt.Errorf("core: unknown partition %q", partID)
 		}
 		var buf [maxInlineTargets]ReplicaRef
 		targets := ap.orderTargets(buf[:0], part, req, guarded)
-		txn := se.TxnReq{Partition: partID, Iso: store.ReadCommitted,
-			Ops: req.Ops, Tag: req.Tag, Epoch: part.Epoch,
-			ReturnPostImage: ap.cache != nil && !req.ReadOnly,
-			Trace:           req.Trace}
 
 		referred := false
 		for _, ref := range targets {
+			// Refilled per target: the network and the element rewrite
+			// the trace context in place.
+			txn := &c.txn
+			txn.Req = se.TxnReq{Partition: partID, Iso: store.ReadCommitted,
+				Ops: req.Ops, Tag: req.Tag, Epoch: part.Epoch,
+				ReturnPostImage: ap.cache != nil && !req.ReadOnly,
+				Trace:           req.Trace}
 			raw, err := ap.u.net.Call(ctx, ap.addr, ref.Addr, txn)
 			if err != nil {
 				lastErr = err
@@ -354,13 +435,13 @@ func (ap *AccessPoint) execInner(ctx context.Context, req ExecReq) (ExecResp, er
 				}
 				continue
 			}
-			resp, ok := raw.(se.TxnResp)
-			if !ok {
-				return ExecResp{}, fmt.Errorf("core: unexpected SE response %T", raw)
+			if raw != any(txn) {
+				return fmt.Errorf("core: unexpected SE response %T", raw)
 			}
-			fromMaster := resp.Role == store.Master
-			if cacheable && !guarded && len(resp.Results) == 1 {
-				r0 := resp.Results[0]
+			tresp := &txn.Resp
+			fromMaster := tresp.Role == store.Master
+			if cacheable && !guarded && len(tresp.Results) == 1 {
+				r0 := tresp.Results[0]
 				if !fromMaster {
 					if fl := ap.cache.Floor(subID); fl > 0 && (!r0.Found || r0.Meta.CSN < fl) {
 						// The slave is behind what this PoA already
@@ -375,16 +456,17 @@ func (ap *AccessPoint) execInner(ctx context.Context, req ExecReq) (ExecResp, er
 					subID, req.Identity, r0.Entry, r0.Meta, r0.Found)
 			}
 			if ap.cache != nil && !req.ReadOnly {
-				ap.writeThrough(partID, part.Epoch, subID, req.Identity, req.Ops, resp)
+				ap.writeThrough(partID, part.Epoch, subID, req.Identity, req.Ops, tresp)
 			}
-			return ExecResp{
-				Results:      resp.Results,
-				CSN:          resp.CSN,
+			*resp = ExecResp{
+				CSN:          tresp.CSN,
 				ServedBy:     ref.Addr,
-				Role:         resp.Role,
+				Role:         tresp.Role,
 				Partition:    partID,
 				SubscriberID: subID,
-			}, nil
+			}
+			resp.setResults(tresp.Results)
+			return nil
 		}
 		if referred {
 			// Let the in-flight cutover settle before re-reading the
@@ -393,11 +475,11 @@ func (ap *AccessPoint) execInner(ctx context.Context, req ExecReq) (ExecResp, er
 			continue
 		}
 		if len(targets) == 1 {
-			return ExecResp{}, fmt.Errorf("%w: %v", ErrMasterUnreachable, lastErr)
+			return fmt.Errorf("%w: %v", ErrMasterUnreachable, lastErr)
 		}
-		return ExecResp{}, fmt.Errorf("%w: %v", ErrNoReplica, lastErr)
+		return fmt.Errorf("%w: %v", ErrNoReplica, lastErr)
 	}
-	return ExecResp{}, fmt.Errorf("%w: %v", ErrMasterUnreachable, lastErr)
+	return fmt.Errorf("%w: %v", ErrMasterUnreachable, lastErr)
 }
 
 // maxInlineTargets sizes the stack buffer exec orders a request's
@@ -405,7 +487,7 @@ func (ap *AccessPoint) execInner(ctx context.Context, req ExecReq) (ExecResp, er
 const maxInlineTargets = 8
 
 // orderTargets appends to buf the replicas to try, in order.
-func (ap *AccessPoint) orderTargets(buf []ReplicaRef, part Partition, req ExecReq, guarded bool) []ReplicaRef {
+func (ap *AccessPoint) orderTargets(buf []ReplicaRef, part Partition, req *ExecReq, guarded bool) []ReplicaRef {
 	master := part.Replicas[0]
 	switch {
 	case ap.u.cfg.MultiMaster && !req.ReadOnly:
@@ -478,7 +560,7 @@ var errStaleRead = errors.New("core: slave response below the PoA staleness floo
 // cacheableRead reports whether the FE cache can serve or fill this
 // request: a single-Get front-end read. PS reads stay master-only by
 // policy, and multi-op transactions are not worth caching.
-func (ap *AccessPoint) cacheableRead(req ExecReq) bool {
+func (ap *AccessPoint) cacheableRead(req *ExecReq) bool {
 	return ap.cache != nil && req.ReadOnly && req.Policy == PolicyFE &&
 		len(req.Ops) == 1 && req.Ops[0].Kind == se.TxnGet
 }
@@ -487,7 +569,7 @@ func (ap *AccessPoint) cacheableRead(req ExecReq) bool {
 // so the next read of the written subscriber — any local client's —
 // is served fresh without a round trip.
 func (ap *AccessPoint) writeThrough(part string, epoch uint64, subID string,
-	via subscriber.Identity, ops []se.TxnOp, resp se.TxnResp) {
+	via subscriber.Identity, ops []se.TxnOp, resp *se.TxnResp) {
 	for i, op := range ops {
 		if i >= len(resp.Results) {
 			return
@@ -512,7 +594,7 @@ func (ap *AccessPoint) writeThrough(part string, epoch uint64, subID string,
 // cacheLookupKey resolves the primary key a cacheable read addresses:
 // directly via SubscriberID or the op key, or through the cache's
 // secondary-identity aliases.
-func cacheLookupKey(c *fecache.Cache, req ExecReq) (string, bool) {
+func cacheLookupKey(c *fecache.Cache, req *ExecReq) (string, bool) {
 	if req.SubscriberID != "" {
 		return req.SubscriberID, true
 	}
@@ -527,20 +609,6 @@ func cacheLookupKey(c *fecache.Cache, req ExecReq) (string, bool) {
 		return id.Value, true
 	}
 	return c.ResolveIdentity(id.Type.Attr(), id.Value)
-}
-
-// cachedResp shapes a cache hit as a normal ExecResp carrying the
-// Cached role, so clients and the consistency checkers can account
-// for cache-served reads.
-func cachedResp(servedBy simnet.Addr, key string, v fecache.Value) ExecResp {
-	return ExecResp{
-		Results:      []se.OpResult{{Entry: v.Entry, Meta: v.Meta, Found: v.Found}},
-		CSN:          v.Meta.CSN,
-		ServedBy:     servedBy,
-		Role:         store.Cached,
-		Partition:    v.Part,
-		SubscriberID: key,
-	}
 }
 
 // nearestFirst appends the replicas not already in out: co-located
@@ -581,11 +649,11 @@ func (ap *AccessPoint) provision(ctx context.Context, req ProvisionReq) (Provisi
 		return ProvisionResp{}, fmt.Errorf("core: unknown partition %q", partID)
 	}
 
-	txn := se.TxnReq{
+	txn := &se.TxnCall{Req: se.TxnReq{
 		Partition: partID,
 		Iso:       store.ReadCommitted,
 		Ops:       []se.TxnOp{{Kind: se.TxnPut, Key: p.ID, Entry: p.ToEntry()}},
-	}
+	}}
 	target := part.Master()
 	if ap.u.cfg.MultiMaster {
 		target = ap.nearestFirst(nil, part.Replicas)[0]
@@ -603,28 +671,28 @@ func (ap *AccessPoint) provision(ctx context.Context, req ProvisionReq) (Provisi
 func (ap *AccessPoint) deprovision(ctx context.Context, req DeprovisionReq) (DeprovisionResp, error) {
 	// Read the profile first (master copy: this is PS traffic) so we
 	// know every identity to unmap.
-	exec, err := ap.exec(ctx, ExecReq{
+	read := &ExecCall{Req: ExecReq{
 		SubscriberID: req.SubscriberID,
 		Ops:          []se.TxnOp{{Kind: se.TxnGet, Key: req.SubscriberID}},
 		Policy:       PolicyPS,
 		ReadOnly:     true,
-	})
-	if err != nil {
+	}}
+	if err := ap.exec(ctx, read); err != nil {
 		return DeprovisionResp{}, err
 	}
-	if !exec.Results[0].Found {
+	if !read.Resp.Results[0].Found {
 		return DeprovisionResp{}, fmt.Errorf("%w: %s", ErrUnknownSubscriber, req.SubscriberID)
 	}
-	prof, err := subscriber.FromEntry(exec.Results[0].Entry)
+	prof, err := subscriber.FromEntry(read.Resp.Results[0].Entry)
 	if err != nil {
 		return DeprovisionResp{}, err
 	}
-	if _, err := ap.exec(ctx, ExecReq{
+	if err := ap.exec(ctx, &ExecCall{Req: ExecReq{
 		SubscriberID: req.SubscriberID,
-		Partition:    exec.Partition,
+		Partition:    read.Resp.Partition,
 		Ops:          []se.TxnOp{{Kind: se.TxnDelete, Key: req.SubscriberID}},
 		Policy:       PolicyPS,
-	}); err != nil {
+	}}); err != nil {
 		return DeprovisionResp{}, err
 	}
 	failures := ap.updateLocators(ctx, prof.Identities(), locator.Placement{}, true)

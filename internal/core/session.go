@@ -92,26 +92,33 @@ func (s *Session) exec(ctx context.Context, req ExecReq) (*ExecResp, error) {
 	}
 	if s.cache != nil && s.policy == PolicyFE && req.ReadOnly &&
 		len(req.Ops) == 1 && req.Ops[0].Kind == se.TxnGet {
-		if key, ok := cacheLookupKey(s.cache, req); ok {
+		if key, ok := cacheLookupKey(s.cache, &req); ok {
 			v, st := s.cacheProbe(req.Trace, key)
 			if st == fecache.Hit {
-				resp := cachedResp(s.poa, key, v)
-				return &resp, nil
+				resp := new(ExecResp)
+				resp.setCached(s.poa, key, v)
+				return resp, nil
 			}
 			// Missed (or guarded) here; tell the PoA not to probe and
 			// double-count — it still re-checks the guard state.
 			req.cacheChecked = true
 		}
 	}
-	raw, err := s.net.Call(ctx, s.from, s.poa, req)
+	c := execCalls.Get().(*ExecCall)
+	defer releaseExecCall(c)
+	c.Req = req
+	raw, err := s.net.Call(ctx, s.from, s.poa, c)
 	if err != nil {
 		return nil, err
 	}
-	resp, ok := raw.(ExecResp)
-	if !ok {
+	if raw != any(c) {
 		return nil, fmt.Errorf("core: unexpected PoA response %T", raw)
 	}
-	return &resp, nil
+	// The caller keeps the response; the envelope goes back to the pool.
+	resp := new(ExecResp)
+	*resp = c.Resp
+	resp.setResults(c.Resp.Results)
+	return resp, nil
 }
 
 // cacheProbe is the session-side fast-path probe plus an optional

@@ -172,7 +172,7 @@ type Replica struct {
 	// or policy change.
 	quorumWM uint64
 	ackCh    chan struct{}
-	// headCSN mirrors the highest CSN staged through commitPipeline.
+	// headCSN mirrors the highest CSN staged through StageCommit.
 	// The quorum refresh runs under r.mu on every ack and must not
 	// touch the store's commit lock (the commit path holds it while
 	// taking r.mu), so the head is tracked here atomically.
@@ -479,23 +479,49 @@ func (r *Replica) WaitCaughtUp(ctx context.Context) error {
 	}
 }
 
-// CommitPipeline exposes the replica's commit processing so a
-// storage element can chain other commit-time work (WAL staging) in
-// front of replication shipping. The stage phase must run in commit
-// order (under the store's commit lock); the returned wait, if any,
-// carries the synchronous-durability wait and runs after the lock is
-// released.
-func (r *Replica) CommitPipeline(rec *store.CommitRecord) (wait func() error, err error) {
-	return r.commitPipeline(rec)
+// CommitWait is a staged commit's synchronous-durability obligation,
+// returned by value so a caller that chains other waits in front of it
+// (the storage element's WAL fsync) builds one closure per commit, not
+// two. The zero CommitWait has nothing to wait for.
+type CommitWait struct {
+	r          *Replica
+	csn        uint64
+	senders    []*sender
+	durability Durability
+	tc         trace.Ctx
+	tr         *trace.Recorder
+	enq        time.Time
 }
 
-// commitPipeline runs under the store's commit lock for every local
-// commit. It enqueues the record to every peer — that is the ordered
-// part — and, for DualSeq, SyncAll and Quorum, returns a wait that
-// blocks until the required replicas acknowledge. Waiting outside the
-// commit lock lets concurrent synchronous commits overlap their
-// replication round trips instead of serializing them.
+// Pending reports whether Wait has acknowledgements to wait for.
+func (w CommitWait) Pending() bool { return w.r != nil }
+
+// Wait blocks until the staged commit is durable at the replica's
+// level or the durability deadline expires (see awaitAcks).
+func (w CommitWait) Wait() error {
+	if w.r == nil {
+		return nil
+	}
+	return w.r.awaitAcks(w.csn, w.senders, w.durability, w.tc, w.tr, w.enq)
+}
+
+// commitPipeline is the store's commit hook when no WAL sits in front
+// of replication.
 func (r *Replica) commitPipeline(rec *store.CommitRecord) (func() error, error) {
+	if w := r.StageCommit(rec); w.Pending() {
+		return w.Wait, nil
+	}
+	return nil, nil
+}
+
+// StageCommit runs under the store's commit lock for every local
+// commit; a storage element calls it to chain WAL staging in front of
+// replication shipping. It enqueues the record to every peer — that is
+// the ordered part — and, for DualSeq, SyncAll and Quorum, returns a
+// wait that blocks until the required replicas acknowledge. Waiting
+// outside the commit lock lets concurrent synchronous commits overlap
+// their replication round trips instead of serializing them.
+func (r *Replica) StageCommit(rec *store.CommitRecord) CommitWait {
 	r.headCSN.Store(rec.CSN)
 	// Sampled commits register per-peer send watches at enqueue time.
 	// The watch start doubles as the ack-wait span start, so by
@@ -553,17 +579,13 @@ func (r *Replica) commitPipeline(rec *store.CommitRecord) (func() error, error) 
 	}
 	r.mu.Unlock()
 	if !wait {
-		return nil, nil
+		return CommitWait{}
 	}
-
-	csn := rec.CSN
-	tc := rec.Trace
 	if !traced {
 		tr = nil
 	}
-	return func() error {
-		return r.awaitAcks(csn, senders, durability, tc, tr, traceStart)
-	}, nil
+	return CommitWait{r: r, csn: rec.CSN, senders: senders, durability: durability,
+		tc: rec.Trace, tr: tr, enq: traceStart}
 }
 
 // ackTimers recycles the deadline timers of durability waits. Go 1.23

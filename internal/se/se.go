@@ -8,7 +8,7 @@
 // a WAL per replica, and a replication.Node. It serves three kinds of
 // traffic at a single simnet address:
 //
-//   - client transactions (TxnReq) from LDAP servers / front-ends,
+//   - client transactions (TxnCall envelopes) from points of access,
 //   - replication messages from peer elements,
 //   - identity-search fan-out (FindReq) from cached location stages.
 package se
@@ -102,12 +102,29 @@ type TxnReq struct {
 	Trace trace.Ctx
 }
 
-// TraceCtx implements trace.Carrier.
-func (r TxnReq) TraceCtx() trace.Ctx { return r.Trace }
+// TxnCall is the envelope a transaction crosses the network in: the
+// caller fills Req and passes the pointer to simnet.Call, and the
+// element fills Resp in place and returns the same pointer, so neither
+// direction boxes a struct into an interface. The caller owns the
+// envelope for the duration of the call (the handler runs on the
+// caller's goroutine and has returned when Call does) and may reuse it
+// afterwards; it must never travel through the asynchronous
+// simnet.Send. Resp.Results of a single-op transaction lives inside
+// the envelope, so a caller that keeps results past reuse copies them
+// out. Ops, their Entry and Mods, and multi-op Results arrays belong
+// to the caller and the store, never to the envelope.
+type TxnCall struct {
+	Req  TxnReq
+	Resp TxnResp
+}
 
-// WithTraceCtx implements trace.Carrier: the network uses it to nest
-// the receiving element's spans under the per-hop net.call span.
-func (r TxnReq) WithTraceCtx(tc trace.Ctx) any { r.Trace = tc; return r }
+// TraceCtx implements trace.Carrier.
+func (c *TxnCall) TraceCtx() trace.Ctx { return c.Req.Trace }
+
+// WithTraceCtx implements trace.Carrier in place: the network uses it
+// to nest the receiving element's spans under the per-hop net.call
+// span.
+func (c *TxnCall) WithTraceCtx(tc trace.Ctx) any { c.Req.Trace = tc; return c }
 
 // OpResult is the per-operation outcome inside a TxnResp.
 type OpResult struct {
@@ -125,6 +142,9 @@ type TxnResp struct {
 	// Role echoes the serving replica's role so clients can tell a
 	// potentially stale slave read from a master read.
 	Role store.Role
+	// one backs Results for a single-op transaction, so the common
+	// response carries its result without an allocation of its own.
+	one [1]OpResult
 }
 
 // FindReq asks the element to search its hosted master replicas for a
@@ -211,7 +231,9 @@ type Config struct {
 // the system under test. resp carries the assigned CSN even when err
 // is non-nil and the transaction still applied (a durability-wait
 // failure); a zero CSN with a non-nil err means nothing was installed.
-// Observers must be fast and must not call back into the element.
+// resp.Results may live in the caller's TxnCall envelope and is valid
+// only for the duration of the call. Observers must be fast and must
+// not call back into the element.
 type TxnObserver func(from simnet.Addr, req TxnReq, resp TxnResp, err error)
 
 // Element is one storage element.
@@ -588,11 +610,8 @@ func (e *Element) commitPipeline(log *wal.Log, repl *replication.Replica) func(*
 		if err != nil {
 			return nil, err
 		}
-		replWait, err := repl.CommitPipeline(rec)
-		if err != nil {
-			return nil, err
-		}
-		if !needSync && replWait == nil {
+		replWait := repl.StageCommit(rec)
+		if !needSync && !replWait.Pending() {
 			return nil, nil
 		}
 		elem := string(e.addr)
@@ -616,10 +635,7 @@ func (e *Element) commitPipeline(log *wal.Log, repl *replication.Replica) func(*
 					return err
 				}
 			}
-			if replWait != nil {
-				return replWait()
-			}
-			return nil
+			return replWait.Wait()
 		}, nil
 	}
 }
@@ -853,8 +869,19 @@ func (e *Element) handle(ctx context.Context, from simnet.Addr, msg any) (any, e
 		return resp, err
 	}
 	switch m := msg.(type) {
+	case *TxnCall:
+		if err := e.applyTxn(from, m); err != nil {
+			return nil, err
+		}
+		return m, nil
 	case TxnReq:
-		return e.applyTxn(from, m)
+		// Value form, boxed both ways: kept only for benchmark/ladder.go's
+		// per-layer rungs until they move to the envelope.
+		c := &TxnCall{Req: m}
+		if err := e.applyTxn(from, c); err != nil {
+			return nil, err
+		}
+		return c.Resp, nil
 	case FindReq:
 		return e.find(m), nil
 	case StatusReq:
@@ -866,32 +893,35 @@ func (e *Element) handle(ctx context.Context, from simnet.Addr, msg any) (any, e
 
 // applyTxn wraps the transaction in an se.txn span when the request
 // carries a trace context and a recorder is installed.
-func (e *Element) applyTxn(from simnet.Addr, req TxnReq) (TxnResp, error) {
+func (e *Element) applyTxn(from simnet.Addr, c *TxnCall) error {
 	tr := e.tracer.Load()
-	if tr == nil || !req.Trace.Valid() {
-		return e.applyTxnInner(from, req)
+	if tr == nil || !c.Req.Trace.Valid() {
+		return e.applyTxnInner(from, &c.Req, &c.Resp)
 	}
-	span := tr.StartChild(req.Trace, "se.txn", string(e.addr))
-	req.Trace = span.Ctx()
-	resp, err := e.applyTxnInner(from, req)
+	span := tr.StartChild(c.Req.Trace, "se.txn", string(e.addr))
+	c.Req.Trace = span.Ctx()
+	err := e.applyTxnInner(from, &c.Req, &c.Resp)
 	// Sampled only: formatting the attr would otherwise be a per-op
 	// allocation on the unsampled fast path.
-	if resp.CSN != 0 && req.Trace.Sampled {
-		span.SetAttr("csn", fmt.Sprint(resp.CSN))
+	if c.Resp.CSN != 0 && c.Req.Trace.Sampled {
+		span.SetAttr("csn", fmt.Sprint(c.Resp.CSN))
 	}
 	span.End(err)
-	return resp, err
+	return err
 }
 
-// applyTxnInner runs a one-shot transaction.
-func (e *Element) applyTxnInner(from simnet.Addr, req TxnReq) (TxnResp, error) {
+// applyTxnInner runs a one-shot transaction, writing its outcome into
+// resp. The first result lands in resp's inline slot; a multi-op
+// transaction's results spill to a heap array of their own.
+func (e *Element) applyTxnInner(from simnet.Addr, req *TxnReq, resp *TxnResp) error {
+	*resp = TxnResp{}
 	e.mu.RLock()
 	pr := e.replicas[req.Partition]
 	epoch := e.epochs[req.Partition]
 	obs := e.txnObs
 	e.mu.RUnlock()
 	if pr == nil {
-		return TxnResp{}, fmt.Errorf("%w: %q", ErrUnknownPartition, req.Partition)
+		return fmt.Errorf("%w: %q", ErrUnknownPartition, req.Partition)
 	}
 	if req.Epoch != 0 && epoch != 0 && req.Epoch != epoch {
 		// The caller routed under an epoch that is no longer this
@@ -899,12 +929,13 @@ func (e *Element) applyTxnInner(from simnet.Addr, req TxnReq) (TxnResp, error) {
 		// caller read its placement. Refuse before executing anything —
 		// accepting a stale-epoch write here could land it on a demoted
 		// master — with the retryable referral.
-		return TxnResp{}, fmt.Errorf("%w: partition %s at epoch %d, request epoch %d",
+		return fmt.Errorf("%w: partition %s at epoch %d, request epoch %d",
 			ErrStalePlacement, req.Partition, epoch, req.Epoch)
 	}
 
 	txn := pr.Store.Begin(req.Iso)
-	resp := TxnResp{Role: pr.Store.Role()}
+	resp.Role = pr.Store.Role()
+	resp.Results = resp.one[:0]
 	wrote := false
 	for _, op := range req.Ops {
 		var res OpResult
@@ -938,7 +969,7 @@ func (e *Element) applyTxnInner(from simnet.Addr, req TxnReq) (TxnResp, error) {
 			wrote = true
 		default:
 			txn.Abort()
-			return TxnResp{}, fmt.Errorf("%w: op kind %d", ErrBadRequest, op.Kind)
+			return fmt.Errorf("%w: op kind %d", ErrBadRequest, op.Kind)
 		}
 		resp.Results = append(resp.Results, res)
 	}
@@ -963,18 +994,18 @@ func (e *Element) applyTxnInner(from simnet.Addr, req TxnReq) (TxnResp, error) {
 		resp.CSN = rec.CSN
 	}
 	if err == nil && rec != nil && req.ReturnPostImage {
-		fillPostImages(&resp, req.Ops, rec)
+		fillPostImages(resp, req.Ops, rec)
 	}
 	if obs != nil {
-		obs(from, req, resp, err)
+		obs(from, *req, *resp, err)
 	}
 	if err != nil {
-		return TxnResp{}, err
+		return err
 	}
 	if wrote {
 		e.Writes.Inc()
 	}
-	return resp, nil
+	return nil
 }
 
 // fillPostImages copies each committed write's post-image into the

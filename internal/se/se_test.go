@@ -14,11 +14,26 @@ import (
 	"repro/internal/wal"
 )
 
+// call sends msg to an element. A TxnReq travels in a TxnCall
+// envelope, and the envelope's *TxnResp comes back.
 func call(t *testing.T, n *simnet.Network, to simnet.Addr, msg any) (any, error) {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 	defer cancel()
-	return n.Call(ctx, simnet.MakeAddr("test", "client"), to, msg)
+	from := simnet.MakeAddr("test", "client")
+	req, ok := msg.(TxnReq)
+	if !ok {
+		return n.Call(ctx, from, to, msg)
+	}
+	c := &TxnCall{Req: req}
+	raw, err := n.Call(ctx, from, to, c)
+	if err != nil {
+		return nil, err
+	}
+	if raw != any(c) {
+		t.Fatalf("element answered %T, not its envelope", raw)
+	}
+	return &c.Resp, nil
 }
 
 func newElement(t *testing.T, n *simnet.Network, id, site string) *Element {
@@ -44,8 +59,8 @@ func TestTxnPutGet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.(TxnResp).CSN != 1 {
-		t.Fatalf("csn = %d", resp.(TxnResp).CSN)
+	if resp.(*TxnResp).CSN != 1 {
+		t.Fatalf("csn = %d", resp.(*TxnResp).CSN)
 	}
 
 	resp, err = call(t, n, el.Addr(), TxnReq{
@@ -55,7 +70,7 @@ func TestTxnPutGet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := resp.(TxnResp)
+	r := resp.(*TxnResp)
 	if !r.Results[0].Found || r.Results[0].Entry.First("msisdn") != "34600000001" {
 		t.Fatalf("get = %+v", r.Results[0])
 	}
@@ -83,7 +98,7 @@ func TestTxnAtomicReadModify(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := resp.(TxnResp)
+	r := resp.(*TxnResp)
 	if r.Results[0].Entry.First("bar") != "FALSE" {
 		t.Fatalf("pre-image = %v", r.Results[0].Entry)
 	}
@@ -105,7 +120,7 @@ func TestTxnCompare(t *testing.T) {
 		{Kind: TxnCompare, Key: "k", Attr: "active", Value: "FALSE"},
 		{Kind: TxnCompare, Key: "missing", Attr: "x", Value: "1"},
 	}})
-	r := resp.(TxnResp)
+	r := resp.(*TxnResp)
 	if !r.Results[0].CompareOK || r.Results[1].CompareOK {
 		t.Fatalf("compare = %+v", r.Results)
 	}
@@ -136,7 +151,7 @@ func TestSlaveRejectsWriteServesRead(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.(TxnResp).Role != store.Slave {
+	if resp.(*TxnResp).Role != store.Slave {
 		t.Fatal("role should be slave")
 	}
 	// Write fails.
@@ -322,7 +337,7 @@ func TestCrashRecoverWithWAL(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !resp.(TxnResp).Results[0].Found {
+	if !resp.(*TxnResp).Results[0].Found {
 		t.Fatal("data lost across recovery")
 	}
 }
@@ -344,7 +359,7 @@ func TestCrashWithoutWALLosesData(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.(TxnResp).Results[0].Found {
+	if resp.(*TxnResp).Results[0].Found {
 		t.Fatal("RAM data survived a crash without WAL")
 	}
 }
@@ -424,7 +439,7 @@ func TestPeriodicSnapshotCompactsWAL(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !resp.(TxnResp).Results[0].Found {
+	if !resp.(*TxnResp).Results[0].Found {
 		t.Fatal("data lost after snapshot + recover")
 	}
 }
@@ -551,11 +566,11 @@ func TestTxnGetEntryMetaConsistent(t *testing.T) {
 	}
 	write := func() error {
 		v := fmt.Sprint(pr.Store.CSN() + 1) // the only writer: the next CSN is ours
-		_, err := el.applyTxnInner("", TxnReq{Partition: "p1", Ops: []TxnOp{{
+		var resp TxnResp
+		return el.applyTxnInner("", &TxnReq{Partition: "p1", Ops: []TxnOp{{
 			Kind: TxnModify, Key: "k",
 			Mods: []store.Mod{{Kind: store.ModReplace, Attr: "v", Vals: []string{v}}},
-		}}})
-		return err
+		}}}, &resp)
 	}
 	if err := write(); err != nil {
 		t.Fatal(err)
@@ -579,9 +594,9 @@ func TestTxnGetEntryMetaConsistent(t *testing.T) {
 	const reads = 200_000
 	torn := 0
 	get := TxnReq{Partition: "p1", Ops: []TxnOp{{Kind: TxnGet, Key: "k"}}}
+	var resp TxnResp
 	for i := 0; i < reads; i++ {
-		resp, err := el.applyTxnInner("", get)
-		if err != nil {
+		if err := el.applyTxnInner("", &get, &resp); err != nil {
 			t.Fatal(err)
 		}
 		res := resp.Results[0]
@@ -595,5 +610,73 @@ func TestTxnGetEntryMetaConsistent(t *testing.T) {
 	}
 	if torn > 0 {
 		t.Fatalf("%d of %d reads paired an entry with another version's meta", torn, reads)
+	}
+}
+
+// TestTxnCallReadAllocs gates a single-op read through a reused
+// envelope: the request and the response travel by pointer and the
+// result in the envelope's inline slot, so the hop allocates nothing.
+func TestTxnCallReadAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates")
+	}
+	n := simnet.New(simnet.FastConfig())
+	el := newElement(t, n, "se-1", "eu")
+	if _, err := el.AddReplica("p1", store.Master); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := call(t, n, el.Addr(), TxnReq{Partition: "p1", Ops: []TxnOp{
+		{Kind: TxnPut, Key: "k", Entry: store.Entry{"v": {"1"}}}}}); err != nil {
+		t.Fatal(err)
+	}
+	ctx, from := context.Background(), simnet.MakeAddr("eu", "client")
+	ops := []TxnOp{{Kind: TxnGet, Key: "k"}}
+	c := new(TxnCall)
+	got := testing.AllocsPerRun(1000, func() {
+		c.Req = TxnReq{Partition: "p1", Ops: ops}
+		raw, err := n.Call(ctx, from, el.Addr(), c)
+		if err != nil || raw != any(c) || !c.Resp.Results[0].Found {
+			t.Fatalf("read: %v %+v", err, c.Resp)
+		}
+	})
+	if got != 0 {
+		t.Errorf("envelope read = %.0f allocs/op, want 0", got)
+	}
+}
+
+// TestTxnCallEnvelopeReuse: one envelope carries a multi-op
+// transaction, then single-op ones. Each response is complete, and
+// the multi-op results array the caller kept is its own: reusing the
+// envelope neither overwrites nor recycles it.
+func TestTxnCallEnvelopeReuse(t *testing.T) {
+	n := simnet.New(simnet.FastConfig())
+	el := newElement(t, n, "se-1", "eu")
+	if _, err := el.AddReplica("p1", store.Master); err != nil {
+		t.Fatal(err)
+	}
+	ctx, from := context.Background(), simnet.MakeAddr("eu", "client")
+	c := new(TxnCall)
+	do := func(ops ...TxnOp) []OpResult {
+		t.Helper()
+		c.Req = TxnReq{Partition: "p1", Ops: ops}
+		if _, err := n.Call(ctx, from, el.Addr(), c); err != nil {
+			t.Fatal(err)
+		}
+		if len(c.Resp.Results) != len(ops) {
+			t.Fatalf("%d results for %d ops", len(c.Resp.Results), len(ops))
+		}
+		return c.Resp.Results
+	}
+	do(TxnOp{Kind: TxnPut, Key: "a", Entry: store.Entry{"v": {"a"}}},
+		TxnOp{Kind: TxnPut, Key: "b", Entry: store.Entry{"v": {"b"}}})
+	multi := do(TxnOp{Kind: TxnGet, Key: "a"}, TxnOp{Kind: TxnGet, Key: "b"})
+	for _, key := range []string{"b", "a", "missing"} {
+		r := do(TxnOp{Kind: TxnGet, Key: key})[0]
+		if want := key != "missing"; r.Found != want || (want && r.Entry.First("v") != key) {
+			t.Fatalf("get %s = %+v", key, r)
+		}
+	}
+	if multi[0].Entry.First("v") != "a" || multi[1].Entry.First("v") != "b" {
+		t.Fatalf("kept multi-op results changed under envelope reuse: %+v", multi)
 	}
 }

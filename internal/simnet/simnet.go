@@ -427,6 +427,12 @@ func (n *Network) lookup(from, to Addr) (h Handler, l Link, err error) {
 // delivered message carries the span's context, so the receiving
 // element's spans nest under the hop. Unsampled requests pay one type
 // assertion; the message is never copied.
+//
+// The handler runs on the caller's goroutine and has returned before
+// Call returns, whatever the outcome: also when ctx ends or a deadline
+// clips the response leg. A caller may therefore pass a pointer to
+// memory it reuses once Call returns, such as a pooled request
+// envelope the handler fills in place. Send gives no such guarantee.
 func (n *Network) Call(ctx context.Context, from, to Addr, req any) (any, error) {
 	return n.traced(ctx, time.Time{}, from, to, req)
 }
@@ -436,7 +442,9 @@ func (n *Network) Call(ctx context.Context, from, to Addr, req any) (any, error)
 // sleep is clipped to the deadline, and a clipped sleep returns
 // context.DeadlineExceeded. The handler sees context.Background(). With
 // a pointer request and a nil response, a call whose hops are shorter
-// than timerRounding allocates nothing.
+// than timerRounding allocates nothing. As with Call, the handler has
+// returned before CallWithin does, also when the deadline clipped the
+// response leg.
 func (n *Network) CallWithin(from, to Addr, req any, timeout time.Duration) (any, error) {
 	return n.traced(context.Background(), time.Now().Add(timeout), from, to, req)
 }
@@ -510,7 +518,8 @@ func (n *Network) call(ctx context.Context, deadline time.Time, from, to Addr, r
 // Send delivers a one-way message asynchronously (used by the
 // asynchronous replication of §3.3.1). Delivery failures are silent,
 // exactly like a UDP datagram into a partition; senders that need
-// acknowledgement use Call.
+// acknowledgement use Call. The handler runs on a goroutine of its own
+// after Send returns, so msg must not be memory the sender reuses.
 func (n *Network) Send(from, to Addr, msg any) {
 	n.Messages.Inc()
 	go func() {

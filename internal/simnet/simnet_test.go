@@ -426,3 +426,58 @@ func TestCallWithinAllocs(t *testing.T) {
 		}
 	}
 }
+
+// TestCallOwnershipHandlerDone pins the guarantee pooled request
+// envelopes rely on: the handler has returned before Call or
+// CallWithin does, including when the deadline or the context ends
+// during the handler or clips the response leg. A handler still
+// running after the return would read or fill memory the caller has
+// already reused.
+func TestCallOwnershipHandlerDone(t *testing.T) {
+	type envelope struct{ in, out int }
+	cases := []struct {
+		name    string
+		link    time.Duration // one-way latency
+		work    time.Duration // handler run time
+		timeout time.Duration // CallWithin deadline; 0 uses Call with a context
+		cancel  time.Duration // context timeout for Call
+	}{
+		{name: "deadline clips response leg", link: 4 * time.Millisecond, work: time.Millisecond, timeout: 7 * time.Millisecond},
+		{name: "deadline passes inside handler", link: time.Millisecond, work: 10 * time.Millisecond, timeout: 3 * time.Millisecond},
+		{name: "context ends on response leg", link: 4 * time.Millisecond, work: time.Millisecond, cancel: 7 * time.Millisecond},
+		{name: "context ends inside handler", link: time.Millisecond, work: 10 * time.Millisecond, cancel: 3 * time.Millisecond},
+		{name: "completed", work: time.Millisecond, timeout: time.Second},
+	}
+	for _, tc := range cases {
+		n := New(Config{Local: Link{Latency: tc.link}, Seed: 1})
+		src, dst := MakeAddr("eu", "c"), MakeAddr("eu", "srv")
+		var running, ran atomic.Int32
+		n.Register(dst, func(_ context.Context, _ Addr, req any) (any, error) {
+			running.Add(1)
+			defer running.Add(-1)
+			time.Sleep(tc.work)
+			e := req.(*envelope)
+			e.out = e.in * 2
+			ran.Add(1)
+			return e, nil
+		})
+		e := &envelope{in: 21}
+		var err error
+		if tc.timeout > 0 {
+			_, err = n.CallWithin(src, dst, e, tc.timeout)
+		} else {
+			ctx, cancel := context.WithTimeout(context.Background(), tc.cancel)
+			_, err = n.Call(ctx, src, dst, e)
+			cancel()
+		}
+		if r := running.Load(); r != 0 {
+			t.Fatalf("%s: handler still running after the call returned (err %v)", tc.name, err)
+		}
+		if ran.Load() != 1 || e.out != 42 {
+			t.Fatalf("%s: handler ran %d times, envelope %+v (err %v)", tc.name, ran.Load(), *e, err)
+		}
+		// The caller owns the envelope again: reusing it races with
+		// nothing, which the race detector checks.
+		e.in, e.out = 0, 0
+	}
+}

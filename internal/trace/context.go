@@ -23,10 +23,11 @@ func FromContext(ctx context.Context) Ctx {
 	return tc
 }
 
-// Carrier is implemented by simnet message structs that carry a trace
-// context across a network hop. WithTraceCtx returns a copy of the
-// message with the context replaced, letting the network nest the
-// receiving element's spans under its per-hop call span.
+// Carrier is implemented by simnet messages that carry a trace context
+// across a network hop. WithTraceCtx returns the message with the
+// context replaced (a pointer message may replace it in place and
+// return itself), letting the network nest the receiving element's
+// spans under its per-hop call span.
 type Carrier interface {
 	TraceCtx() Ctx
 	WithTraceCtx(Ctx) any

@@ -60,7 +60,7 @@ type (
 	// Policy is the client class (FE or PS) selecting the paper's
 	// per-class routing rules.
 	Policy = core.Policy
-	// ExecReq / ExecResp are the one-shot transaction envelope.
+	// ExecReq / ExecResp are a one-shot transaction and its outcome.
 	ExecReq  = core.ExecReq
 	ExecResp = core.ExecResp
 	// Partition is one partition-table entry.
